@@ -12,9 +12,14 @@ GO ?= go
 # The server and journal lists include the chaos tests.
 RACE_PKGS := ./internal/server ./internal/jobs ./internal/results ./internal/sim ./internal/faults ./internal/sweep ./internal/store ./internal/fleet ./internal/journal ./internal/trace ./internal/workload ./internal/workload/spec .
 
+# Twin tests pinning the pipelined placement of a run's back stage to
+# the inline one (internal/sim/pipeline_test.go and friends), plus the
+# recorded Result digests both placements must reproduce.
+PIPELINE_TESTS := TestEpoch|TestEffectiveShards|TestPipeline|TestSpecShardsBitIdentical|TestTraceReplayPipelinedBitIdentical|TestTraceAddressOutOfRange|TestResultDigestsPinned|TestProgressAllocParity|TestConcurrencyFromContext
+
 # Hot-loop benchmarks guarded by the perf-regression gate
 # (cmd/benchcheck + BENCH_kernel.json; see docs/PERFORMANCE.md).
-BENCHES := BenchmarkAccessKernel|BenchmarkRunInsecure|BenchmarkRunSecure|BenchmarkRunSecureParallel
+BENCHES := BenchmarkAccessKernel|BenchmarkRunInsecure|BenchmarkRunSecure|BenchmarkRunSecureInline
 BENCH_PKG := ./internal/sim
 # Allowed fractional ns/op growth before benchcheck fails the build.
 BENCH_TOLERANCE ?= 0.10
@@ -44,11 +49,13 @@ vet:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	# Epoch-parallel twin tests under both extremes of scheduler
-	# pressure: one P serializes the shards (interleaving bugs hide
-	# here), eight Ps maximizes true parallelism on small runners.
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased' ./internal/sim
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestEpoch|TestConcurrencyFromContext|TestEffectiveShards|TestShardsCanonicalErased' ./internal/sim
+	# Pipeline twin tests under both extremes of scheduler pressure:
+	# one P interleaves the front and back stages on a single thread
+	# (hand-off bugs hide here), eight Ps maximizes true parallelism
+	# on small runners. The tests force the pipelined placement
+	# themselves, so a one-CPU runner still exercises it.
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
 
 # Ten seconds of coverage-guided fuzzing per decoder that parses
 # untrusted bytes: the trace readers (legacy and streaming), the

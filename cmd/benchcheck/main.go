@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -31,13 +32,24 @@ type Entry struct {
 	AccessesPerSec float64 `json:"accesses_per_sec,omitempty"`
 }
 
+// Machine stamps where figures were measured. Absolute ns/op only
+// compare on like machines, and a run's placement depends on the CPU
+// budget (a secure run pipelines on two or more CPUs).
+type Machine struct {
+	CPU        string `json:"cpu,omitempty"` // the benchmark output's "cpu:" line
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"` // the benchmark names' -N suffix
+	GoVersion  string `json:"go_version"`
+}
+
 // Baseline is the on-disk layout of BENCH_kernel.json. PrePR freezes
 // the numbers measured at the commit before the performance overhaul;
-// Current is what `make bench` most recently recorded and what the
-// comparison mode gates against.
+// Current is what `make bench` most recently recorded, on Machine, and
+// what the comparison mode gates against.
 type Baseline struct {
 	Note    string           `json:"note,omitempty"`
 	PrePR   map[string]Entry `json:"pre_pr,omitempty"`
+	Machine *Machine         `json:"machine,omitempty"`
 	Current map[string]Entry `json:"current"`
 }
 
@@ -50,7 +62,7 @@ func main() {
 	)
 	flag.Parse()
 
-	got, err := parseBench(os.Stdin)
+	got, mach, err := parseBench(os.Stdin)
 	if err != nil {
 		fatal(err)
 	}
@@ -60,7 +72,7 @@ func main() {
 
 	switch {
 	case *update:
-		if err := writeBaseline(*out, got); err != nil {
+		if err := writeBaseline(*out, got, mach); err != nil {
 			fatal(err)
 		}
 	case *baseline != "":
@@ -79,21 +91,27 @@ func fatal(err error) {
 }
 
 // parseBench extracts Entry values from testing's benchmark output,
-// keeping the fastest (minimum ns/op) run per benchmark name. The
-// trailing -N GOMAXPROCS suffix is stripped so baselines survive a
-// core-count change.
-func parseBench(f *os.File) (map[string]Entry, error) {
+// keeping the fastest (minimum ns/op) run per benchmark name, and
+// stamps the machine it ran on. The trailing -N GOMAXPROCS suffix is
+// stripped from names so baselines survive a core-count change; it is
+// kept in the stamp instead.
+func parseBench(f *os.File) (map[string]Entry, Machine, error) {
 	got := make(map[string]Entry)
+	mach := Machine{NumCPU: runtime.NumCPU(), GOMAXPROCS: 1, GoVersion: runtime.Version()}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
+		if cpu, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			mach.CPU = strings.TrimSpace(cpu)
+		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
+				mach.GOMAXPROCS = n
 			}
 		}
 		var e Entry
@@ -122,13 +140,27 @@ func parseBench(f *os.File) (map[string]Entry, error) {
 			got[name] = e
 		}
 	}
-	return got, sc.Err()
+	return got, mach, sc.Err()
 }
 
-// writeBaseline replaces the file's current section with got. The
-// pre_pr section and note survive; a brand-new file freezes got as
-// pre_pr too so the very first -update establishes both points.
-func writeBaseline(path string, got map[string]Entry) error {
+// readBaseline loads a baseline file.
+func readBaseline(path string) (Baseline, error) {
+	var base Baseline
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return base, err
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return base, fmt.Errorf("%s: %w", path, err)
+	}
+	return base, nil
+}
+
+// writeBaseline replaces the file's current section and machine
+// stamp with got and mach. The pre_pr section and note survive; a
+// brand-new file freezes got as pre_pr too so the very first -update
+// establishes both points.
+func writeBaseline(path string, got map[string]Entry, mach Machine) error {
 	base := Baseline{
 		Note: "Hot-loop benchmark baseline (see docs/PERFORMANCE.md). " +
 			"Regenerate with `make bench`; `make check` fails on ns/op regressions vs the current section.",
@@ -142,6 +174,7 @@ func writeBaseline(path string, got map[string]Entry) error {
 		base.PrePR = got
 	}
 	base.Current = got
+	base.Machine = &mach
 	buf, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {
 		return err
@@ -155,13 +188,9 @@ func writeBaseline(path string, got map[string]Entry) error {
 // slower by more than the tolerance fraction, or allocates more than
 // the baseline (plus one alloc of slack for map-growth timing).
 func compare(path string, got map[string]Entry, tolerance float64) error {
-	raw, err := os.ReadFile(path)
+	base, err := readBaseline(path)
 	if err != nil {
 		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	if len(base.Current) == 0 {
 		return fmt.Errorf("%s has no current section; run `make bench` first", path)

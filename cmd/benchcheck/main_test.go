@@ -76,3 +76,28 @@ func TestCompareFlagsMissingFromBaseline(t *testing.T) {
 		t.Fatalf("unrecorded benchmark must fail the gate, got %v", err)
 	}
 }
+
+func TestParseBenchStampsMachine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.out")
+	out := "goos: linux\ncpu: Test CPU @ 1GHz\n" +
+		"BenchmarkRunSecure-4   	100	  9000 ns/op	  5 accesses/s	  12 B/op	  3 allocs/op\n" +
+		"BenchmarkRunSecure-4   	100	  8000 ns/op	  6 accesses/s	  12 B/op	  3 allocs/op\n"
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, mach, err := parseBench(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := got["BenchmarkRunSecure"]; e.NsPerOp != 8000 || e.AccessesPerSec != 6 {
+		t.Errorf("entry = %+v, want the faster run", e)
+	}
+	if mach.CPU != "Test CPU @ 1GHz" || mach.GOMAXPROCS != 4 || mach.NumCPU < 1 || mach.GoVersion == "" {
+		t.Errorf("machine stamp = %+v", mach)
+	}
+}

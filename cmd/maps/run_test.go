@@ -40,8 +40,15 @@ func buildMaps(t *testing.T) string {
 
 func runMaps(t *testing.T, bin string, args ...string) (string, string, error) {
 	t.Helper()
+	return runMapsEnv(t, bin, nil, args...)
+}
+
+// runMapsEnv is runMaps with extra environment variables.
+func runMapsEnv(t *testing.T, bin string, env []string, args ...string) (string, string, error) {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	return stdout.String(), stderr.String(), err
@@ -49,8 +56,9 @@ func runMaps(t *testing.T, bin string, args ...string) (string, string, error) {
 
 // TestRunSpecDeterministicAcrossShards exercises the real binary: a
 // workload-spec run must emit byte-identical JSON across repeats and
-// across -shards values, the end-to-end form of the epoch-parallel
-// bit-identity contract.
+// whether its back stage pipelines or, on one P, runs inline — the
+// end-to-end form of the pipeline's bit-identity contract. The name
+// dates from the -shards flag that placement replaced.
 func TestRunSpecDeterministicAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -76,12 +84,12 @@ func TestRunSpecDeterministicAcrossShards(t *testing.T) {
 	if first != repeat {
 		t.Error("repeated runs emitted different JSON")
 	}
-	sharded, _, err := runMaps(t, bin, append(args, "-shards", "4")...)
+	inline, _, err := runMapsEnv(t, bin, []string{"GOMAXPROCS=1"}, args...)
 	if err != nil {
-		t.Fatalf("sharded run: %v", err)
+		t.Fatalf("inline run: %v", err)
 	}
-	if first != sharded {
-		t.Error("-shards 4 emitted different JSON than the sequential run")
+	if first != inline {
+		t.Error("the run on one P emitted different JSON than the default run")
 	}
 }
 
@@ -92,9 +100,8 @@ func TestRunFlagValidation(t *testing.T) {
 	bin := buildMaps(t)
 	cases := [][]string{
 		{"run"}, // no workload source
-		{"run", "-bench", "fft", "-trace", "x.mtrc"},                    // two sources
-		{"run", "-trace", "x.mtrc", "-remote", "http://localhost:1"},    // trace is machine-local
-		{"run", "-bench", "fft", "-shards", "2", "-remote", "http://x"}, // shards is local-only
+		{"run", "-bench", "fft", "-trace", "x.mtrc"},                 // two sources
+		{"run", "-trace", "x.mtrc", "-remote", "http://localhost:1"}, // trace is machine-local
 	}
 	for _, args := range cases {
 		if _, _, err := runMaps(t, bin, args...); err == nil {

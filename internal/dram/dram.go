@@ -53,11 +53,8 @@ type Stats struct {
 	RowMisses uint64
 	// EnergyPJ is the total transfer + activation energy. It is
 	// derived from the integer counters on read (see Config.EnergyOf)
-	// rather than accumulated per access: the hot path stays pure
-	// integer, and partial stats — per-epoch deltas in the parallel
-	// driver — merge by integer addition with the energy recomputed
-	// once from the totals, which is how the float stays bit-identical
-	// between the sequential and epoch-parallel paths.
+	// rather than accumulated per access, so the hot path stays pure
+	// integer.
 	EnergyPJ float64
 	// BusyCycles approximates total bank occupancy.
 	BusyCycles uint64

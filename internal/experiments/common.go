@@ -35,11 +35,6 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (default NumCPU).
 	Parallelism int
-	// Shards is copied into every run's sim.Config.Shards: 0 keeps
-	// runs sequential, N > 1 forces N epochs, sim.AutoShards sizes
-	// each run to the CPU budget left over after Parallelism (the
-	// fan-outs stamp their width via sim.WithConcurrency).
-	Shards int
 }
 
 // validate rejects option values that would otherwise be silently
@@ -96,7 +91,8 @@ func runTasks(ctx context.Context, n, parallelism int, fn func(ctx context.Conte
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	// Let AutoShards runs see how much CPU this fan-out already claims.
+	// Let each run see how much CPU this fan-out already claims, so
+	// it pipelines only into cores the fan-out leaves idle.
 	ctx = sim.WithConcurrency(ctx, parallelism)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -136,14 +132,10 @@ func runTasks(ctx context.Context, n, parallelism int, fn func(ctx context.Conte
 // runAll executes jobs with bounded parallelism, failing fast on the
 // first error. Configs must not share mutable state (pass benchmarks
 // by name so each run builds private generators; taps must be
-// per-job). Options.Shards is stamped onto every config that does not
-// already pick its own sharding.
+// per-job).
 func runAll(jobList []job, opt Options) error {
 	return runTasks(context.Background(), len(jobList), opt.Parallelism, func(ctx context.Context, i int) error {
 		j := &jobList[i]
-		if j.cfg.Shards == 0 {
-			j.cfg.Shards = opt.Shards
-		}
 		res, err := sim.RunContext(ctx, j.cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", j.cfg.Benchmark, err)
@@ -158,9 +150,6 @@ func runAll(jobList []job, opt Options) error {
 // fig2, and ablate-partial since the sweep-engine refactor. Local
 // experiment runs carry no result cache: every point simulates.
 func runSweep(spec sweep.Spec, opt Options) (*sweep.Result, error) {
-	if spec.Base.Shards == 0 {
-		spec.Base.Shards = opt.Shards
-	}
 	pool := jobs.New(opt.Parallelism, opt.Parallelism, jobs.WithContextWrap(func(ctx context.Context) context.Context {
 		return sim.WithConcurrency(ctx, opt.Parallelism)
 	}))

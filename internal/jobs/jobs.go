@@ -190,8 +190,8 @@ func WithLogger(l *slog.Logger) Option {
 // WithContextWrap installs a hook applied to every job's context just
 // before the job function runs. The server and the sweep engine use
 // it to stamp the pool's worker count into job contexts
-// (sim.WithConcurrency), so per-run epoch parallelism sizes itself to
-// the CPU budget the pool has not already claimed. A nil wrap is
+// (sim.WithConcurrency), so a run pipelines its stages only into the
+// CPU budget the pool has not already claimed. A nil wrap is
 // ignored; only one wrap is kept (last option wins).
 func WithContextWrap(wrap func(context.Context) context.Context) Option {
 	return func(p *Pool) {

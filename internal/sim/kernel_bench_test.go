@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"github.com/maps-sim/mapsim/internal/hierarchy"
@@ -41,12 +43,12 @@ func BenchmarkAccessKernel(b *testing.B) {
 // benchFullRun runs one full simulation per iteration and reports
 // simulated accesses per second (memory references retired through
 // the hierarchy, warmup included — the unit sweeps are billed in).
-func benchFullRun(b *testing.B, cfg Config) {
+func benchFullRun(b *testing.B, ctx context.Context, cfg Config) {
 	b.Helper()
 	b.ReportAllocs()
 	var accesses uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
+		res, err := RunContext(ctx, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func benchFullRun(b *testing.B, cfg Config) {
 // BenchmarkRunInsecure measures the insecure baseline: workload,
 // three-level hierarchy, and DRAM timing, no secure-memory engine.
 func BenchmarkRunInsecure(b *testing.B) {
-	benchFullRun(b, Config{
+	benchFullRun(b, context.Background(), Config{
 		Benchmark:    "canneal",
 		Instructions: kernelInstructions,
 	})
@@ -68,7 +70,7 @@ func BenchmarkRunInsecure(b *testing.B) {
 // metadata cache, and speculative verification — the configuration
 // the paper's sweeps spend nearly all their time in.
 func BenchmarkRunSecure(b *testing.B) {
-	benchFullRun(b, Config{
+	benchFullRun(b, context.Background(), Config{
 		Benchmark:    "canneal",
 		Instructions: kernelInstructions,
 		Secure:       true,
@@ -77,18 +79,18 @@ func BenchmarkRunSecure(b *testing.B) {
 	})
 }
 
-// BenchmarkRunSecureParallel is BenchmarkRunSecure with four forced
-// epoch shards — the intra-run parallel path, including the scan,
-// reconciliation, and merge overheads. On a multi-core machine its
-// accesses/s should approach 4× BenchmarkRunSecure; on one core it
-// measures the sharding overhead instead (see docs/PERFORMANCE.md).
-func BenchmarkRunSecureParallel(b *testing.B) {
-	benchFullRun(b, Config{
+// BenchmarkRunSecureInline is BenchmarkRunSecure forced onto one
+// goroutine: the context claims every CPU for inter-run parallelism,
+// as a saturated job pool does, so the back stage runs batch by batch
+// on the front's goroutine. With BenchmarkRunSecure (pipelined
+// whenever the machine has two CPUs to give it) the gate covers both
+// placements.
+func BenchmarkRunSecureInline(b *testing.B) {
+	benchFullRun(b, WithConcurrency(context.Background(), runtime.NumCPU()), Config{
 		Benchmark:    "canneal",
 		Instructions: kernelInstructions,
 		Secure:       true,
 		Speculation:  true,
 		Meta:         &metacache.Config{Size: 64 << 10, Ways: 8},
-		Shards:       4,
 	})
 }

@@ -47,7 +47,8 @@ type Config struct {
 	// TracePath replays a recorded streaming trace (see `mapstrace
 	// record-workload`) as the workload. The file is machine-local
 	// state, so trace-driven configs have no canonical form and never
-	// enter the result cache.
+	// enter the result cache. A record addressing 2^62 or above fails
+	// the run when the simulation reaches it.
 	TracePath string
 
 	// Instructions is the measured instruction count (default 2M).
@@ -100,19 +101,6 @@ type Config struct {
 	// it — so it is erased during canonicalization and never affects
 	// cached results.
 	DisableFastPath bool
-
-	// Shards enables epoch-parallel execution: the access stream is
-	// split into epochs simulated concurrently and merged with a
-	// deterministic reduction (see epoch.go). 0 and 1 run the
-	// sequential path; N > 1 forces N shards; AutoShards derives the
-	// count from the CPUs left over after inter-run parallelism
-	// (WithConcurrency). The parallel path is bit-identical to the
-	// sequential one by contract, so — exactly like DisableFastPath —
-	// the knob is erased during canonicalization and never affects
-	// cached results. Configurations the driver cannot shard safely
-	// (caller Taps, non-cloneable generators or policies) silently
-	// fall back to the sequential path.
-	Shards int
 }
 
 func (c *Config) fill() error {
@@ -199,11 +187,9 @@ func (c Config) Canonical() (Config, error) {
 	}
 	c.fillDefaults()
 	// The fast and generic paths produce bit-identical results, so the
-	// knob carries no simulation identity. The same contract covers
-	// epoch-parallel execution, so the shard count is erased too.
+	// knob carries no simulation identity.
 	c.DisableFastPath = false
 	c.Hierarchy.DisableFastPath = false
-	c.Shards = 0
 	return c, nil
 }
 
@@ -301,11 +287,11 @@ type Result struct {
 	// simulated cycles).
 	Timing PhaseTiming `json:"timing"`
 
-	// Sharding diagnoses the epoch-parallel run (nil on the
-	// sequential path). Like Timing it describes how the run
-	// executed, not what it simulated: the simulated numbers above
-	// are bit-identical either way.
-	Sharding *ShardStats `json:"sharding,omitempty"`
+	// Sharding is always nil.
+	//
+	// Deprecated: it described the removed epoch-parallel driver and
+	// is kept only so existing code that clears it still compiles.
+	Sharding *struct{} `json:"sharding,omitempty"`
 }
 
 // cancelCheckInterval is how many instructions the simulation loop
@@ -339,14 +325,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Meta = &metaCopy
 		}
 	}
-	if n := effectiveShards(ctx, cfg.Shards); n > 1 && cfg.shardable() {
-		if res, ok, err := runEpochParallel(ctx, cfg, n); ok {
-			return res, err
-		}
-		// Not safely shardable after all (e.g. an uncloneable policy):
-		// fall through to the sequential path.
-	}
-	endRun := obs.Span(ctx, "run", "benchmark", cfg.Benchmark)
+	pipelined := pipelines(ctx, &cfg)
+	endRun := obs.Span(ctx, "run", "benchmark", cfg.Benchmark, "pipelined", pipelined)
 	endSetup := obs.Span(ctx, "setup", "benchmark", cfg.Benchmark)
 	prog := cfg.Progress
 	if prog != nil {
@@ -392,128 +372,63 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-
-	// Per-access invariants, hoisted out of the inner loop: latency
-	// constants, the CPI mode, and the engine presence test.
-	var (
-		cycles     uint64
-		acc        workload.Access
-		sinceCheck uint64
-		l2Lat      = cfg.L2HitLatency
-		l3Lat      = cfg.L3HitLatency
-		baseCPI    = cfg.BaseCPI
-		unitCPI    = cfg.BaseCPI == 1.0
-		secure     = eng != nil
-	)
-	step := func(limit uint64) (uint64, error) {
-		var instrs uint64
-		for instrs < limit {
-			gen.Next(&acc)
-			gap := uint64(acc.Gap)
-			instrs += gap
-			sinceCheck += gap
-			if sinceCheck >= cancelCheckInterval {
-				if prog != nil {
-					prog.Add(sinceCheck)
-				}
-				sinceCheck = 0
-				if err := ctx.Err(); err != nil {
-					return instrs, err
-				}
-				if err := faultStep.Hit(); err != nil {
-					return instrs, err
-				}
-			}
-			if unitCPI {
-				// The common BaseCPI == 1 case stays in pure integer
-				// math; the float path rounds identically for it.
-				cycles += gap
-			} else {
-				cycles += uint64(float64(gap) * baseCPI)
-			}
-			out := hier.Access(acc.Addr, acc.Write)
-			switch out.Hit {
-			case hierarchy.L2:
-				cycles += l2Lat
-			case hierarchy.L3:
-				cycles += l3Lat
-			case hierarchy.Memory:
-				cycles += l3Lat
-				if secure {
-					cycles += eng.Read(cycles, acc.Addr)
-				} else {
-					cycles += mem.Access(cycles, memlayout.BlockOf(acc.Addr), false)
-				}
-			}
-			if len(out.Writebacks) > 0 {
-				if secure {
-					for _, wb := range out.Writebacks {
-						eng.Writeback(cycles, wb)
-					}
-				} else {
-					for _, wb := range out.Writebacks {
-						mem.Access(cycles, wb, true)
-					}
-				}
-			}
-		}
-		return instrs, nil
-	}
-
 	setupTime := endSetup()
 
-	// Warmup: run, then discard statistics (state persists).
-	endWarmup := obs.Span(ctx, "warmup", "benchmark", cfg.Benchmark)
-	if _, err := step(cfg.Warmup); err != nil {
-		return nil, fmt.Errorf("sim: %s: %w", cfg.Benchmark, err)
+	// The two stages (see pipeline.go): the front runs here; the back
+	// runs batch by batch on this goroutine or, pipelined, on its own.
+	bk := &back{ctx: ctx, bench: cfg.Benchmark, eng: eng, mem: mem}
+	fr := &front{
+		ctx:     ctx,
+		gen:     gen,
+		hier:    hier,
+		prog:    prog,
+		l2Lat:   cfg.L2HitLatency,
+		l3Lat:   cfg.L3HitLatency,
+		baseCPI: cfg.BaseCPI,
 	}
-	warmupTime := endWarmup()
-	hier.ResetStats()
-	mem.ResetStats()
-	if eng != nil {
-		eng.ResetStats()
+	var p *pipe
+	if pipelined {
+		p, fr.buf = startPipe(bk)
+		fr.emit = p.emit
+		defer p.join() // unwinds the back stage on every exit, panics included
+	} else {
+		fr.buf, fr.emit = make([]event, batchLen), bk.emitInline
 	}
-	cyclesStart := cycles
 
-	endMeasure := obs.Span(ctx, "measure", "benchmark", cfg.Benchmark)
-	measured, err := step(cfg.Instructions)
+	// Warmup: run, then discard statistics (state persists).
+	bk.endWarmup = obs.Span(ctx, "warmup", "benchmark", cfg.Benchmark)
+	_, err = fr.run(cfg.Warmup)
+	if err == nil {
+		err = fr.endWarmup()
+	}
+	var measured uint64
+	if err == nil {
+		measured, err = fr.run(cfg.Instructions)
+	}
+	if err == nil {
+		err = fr.flush()
+	}
+	if p != nil {
+		p.join()
+		if p.panicked != nil {
+			panic(p.panicked)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", cfg.Benchmark, err)
 	}
-	measureTime := endMeasure()
-	cycles -= cyclesStart
-	if prog != nil && sinceCheck > 0 {
+	measureTime := bk.endMeasure()
+	cycles := bk.cycles + fr.pending - bk.cyclesStart
+	if prog != nil && fr.sinceCheck > 0 {
 		// Flush the sub-checkpoint remainder so the run finishes at
 		// exactly Warmup+Instructions done.
-		prog.Add(sinceCheck)
-		sinceCheck = 0
+		prog.Add(fr.sinceCheck)
 	}
 
-	t := runTotals{
-		measured:  measured,
-		cycles:    cycles,
-		hier:      [3]cache.Stats{hier.L1Stats(), hier.L2Stats(), hier.L3Stats()},
-		dramStats: mem.Stats(),
-		secure:    eng != nil,
-		hasMeta:   meta != nil,
-	}
-	if eng != nil {
-		t.engStats = eng.Stats()
-	}
-	if meta != nil {
-		t.metaSize = meta.Size()
-		t.metaTotal = meta.TotalStats()
-		for _, k := range memlayout.MetaKinds {
-			t.metaKind[k] = meta.KindStats(k)
-		}
-		for level := 0; level < 16; level++ {
-			t.metaLevel[level] = meta.LevelStats(level)
-		}
-	}
-	res := buildResult(cfg, t)
+	res := buildResult(cfg, measured, cycles, hier, mem, eng, meta)
 	res.Timing = PhaseTiming{
 		Setup:   setupTime,
-		Warmup:  warmupTime,
+		Warmup:  bk.warmup,
 		Measure: measureTime,
 		Total:   endRun(),
 	}
@@ -525,53 +440,34 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runTotals are the raw integer counters one run produces — gathered
-// directly from the models on the sequential path, or merged from
-// per-epoch deltas on the parallel one. buildResult derives every
-// reported float from them, which is what makes the two paths
-// bit-identical: identical integers in, one shared float pipeline
-// out.
-type runTotals struct {
-	measured  uint64
-	cycles    uint64
-	hier      [3]cache.Stats
-	dramStats dram.Stats
-	secure    bool
-	hasMeta   bool
-	engStats  engine.Stats
-	metaSize  int
-	metaTotal metacache.KindStats
-	metaKind  [4]metacache.KindStats
-	metaLevel [16]metacache.KindStats
-}
-
 // buildResult assembles the reported Result (everything except
-// Timing) from a run's raw totals.
-func buildResult(cfg Config, t runTotals) *Result {
+// Timing) from the models' statistics at the end of a run. eng and
+// meta are nil when the run had no engine or no metadata cache.
+func buildResult(cfg Config, measured, cycles uint64, hier *hierarchy.Hierarchy, mem *dram.Memory, eng *engine.Engine, meta *metacache.MetaCache) *Result {
 	res := &Result{
 		Benchmark:    cfg.Benchmark,
-		Instructions: t.measured,
-		Cycles:       t.cycles,
-		Hier:         t.hier,
-		LLC:          t.hier[2],
-		DRAM:         t.dramStats,
+		Instructions: measured,
+		Cycles:       cycles,
+		Hier:         [3]cache.Stats{hier.L1Stats(), hier.L2Stats(), hier.L3Stats()},
+		DRAM:         mem.Stats(),
 	}
-	kilo := float64(t.measured) / 1000
-	res.IPC = float64(t.measured) / float64(t.cycles)
+	res.LLC = res.Hier[2]
+	kilo := float64(measured) / 1000
+	res.IPC = float64(measured) / float64(cycles)
 	res.LLCMPKI = float64(res.LLC.Misses) / kilo
 	res.DataMPKI = res.LLCMPKI
 
-	if t.secure {
-		es := t.engStats
+	if eng != nil {
+		es := eng.Stats()
 		res.Mem = es.Mem
 		res.PageReencryptions = es.PageReencryptions
 		res.SpecWindowStalls = es.SpecWindowStalls
 		res.MetaMemPKI = float64(es.Mem.Metadata()) / kilo
-		if t.hasMeta {
+		if meta != nil {
 			res.Meta = make(map[memlayout.Kind]KindResult, 3)
 			var misses, accesses, hits uint64
 			for _, k := range memlayout.MetaKinds {
-				ks := t.metaKind[k]
+				ks := meta.KindStats(k)
 				res.Meta[k] = KindResult{
 					Accesses: ks.Accesses,
 					Hits:     ks.Hits,
@@ -588,7 +484,7 @@ func buildResult(cfg Config, t runTotals) *Result {
 				res.MetaHitRate = float64(hits) / float64(accesses)
 			}
 			for level := 0; level < 16; level++ {
-				ls := t.metaLevel[level]
+				ls := meta.LevelStats(level)
 				if ls.Accesses == 0 {
 					break
 				}
@@ -609,14 +505,14 @@ func buildResult(cfg Config, t runTotals) *Result {
 
 	// Energy: core + per-level SRAM (dynamic + leakage) + metadata
 	// SRAM + DRAM.
-	res.Energy.AddInstructions(t.measured)
+	res.Energy.AddInstructions(measured)
 	res.Energy.AddSRAM(cfg.Hierarchy.L1Size, res.Hier[0].Accesses)
 	res.Energy.AddSRAM(cfg.Hierarchy.L2Size, res.Hier[1].Accesses)
 	res.Energy.AddSRAM(cfg.Hierarchy.L3Size, res.Hier[2].Accesses)
-	res.Energy.AddSRAMLeakage(cfg.Hierarchy.L1Size+cfg.Hierarchy.L2Size+cfg.Hierarchy.L3Size, t.cycles)
-	if t.hasMeta {
-		res.Energy.AddSRAM(t.metaSize, t.metaTotal.Accesses)
-		res.Energy.AddSRAMLeakage(t.metaSize, t.cycles)
+	res.Energy.AddSRAMLeakage(cfg.Hierarchy.L1Size+cfg.Hierarchy.L2Size+cfg.Hierarchy.L3Size, cycles)
+	if meta != nil {
+		res.Energy.AddSRAM(meta.Size(), meta.TotalStats().Accesses)
+		res.Energy.AddSRAMLeakage(meta.Size(), cycles)
 	}
 	res.Energy.AddDRAMPJ(res.DRAM.EnergyPJ)
 	res.EnergyPJ = res.Energy.TotalPJ()

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/maps-sim/mapsim/internal/memlayout"
 	"github.com/maps-sim/mapsim/internal/trace"
 	"github.com/maps-sim/mapsim/internal/workload"
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
@@ -76,13 +80,12 @@ func recordSpecTrace(t *testing.T, sp *wspec.Spec, seed int64, budget uint64) st
 	return path
 }
 
-// stripExecution erases the fields that describe how a run executed
-// (wall clock, shard layout) rather than what it simulated, so two
-// runs can be compared for simulated bit-identity.
+// stripExecution erases the wall-clock profile, which describes how
+// a run executed rather than what it simulated, so two runs can be
+// compared for simulated bit-identity.
 func stripExecution(rs ...*Result) {
 	for _, r := range rs {
 		r.Timing = PhaseTiming{}
-		r.Sharding = nil
 	}
 }
 
@@ -116,50 +119,23 @@ func TestSpecReplayMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSpecShardsBitIdentical is the epoch-parallel twin test for
-// spec-driven workloads: the sharded run must reproduce the
-// sequential run exactly, which requires the spec generator (and
-// every sub-generator) to clone correctly.
+// TestSpecShardsBitIdentical is the pipeline twin test for
+// spec-driven workloads (named for the epoch shards it once
+// compared): the pipelined run must reproduce the inline run exactly.
 func TestSpecShardsBitIdentical(t *testing.T) {
+	forcePipelined(t)
 	sp := parseSpecT(t)
-	base := Config{WorkloadSpec: sp, Instructions: 200_000, Secure: true, Speculation: true}
-
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		cfg := base
-		cfg.Shards = shards
-		par, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if par.Sharding == nil || par.Sharding.Shards != shards {
-			t.Fatalf("shards=%d: sharding stats = %+v, want %d shards", shards, par.Sharding, shards)
-		}
-		stripExecution(seq, par)
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("shards=%d diverged: seq cycles=%d par cycles=%d", shards, seq.Cycles, par.Cycles)
-		}
-	}
+	runTwin(t, fixed(Config{WorkloadSpec: sp, Instructions: 200_000, Secure: true, Speculation: true}))
 }
 
-// TestTraceReplayRunsSequentially pins the fallback contract: a trace
-// replay generator is deliberately not a Cloner (one file handle, one
-// cursor), so a Shards request silently runs sequentially — same
-// results, no shard stats.
-func TestTraceReplayRunsSequentially(t *testing.T) {
+// TestTraceReplayPipelinedBitIdentical: a trace replay (one file
+// handle, one cursor) feeds the front stage like any generator, so
+// it pipelines and must match its inline run bit for bit.
+func TestTraceReplayPipelinedBitIdentical(t *testing.T) {
+	forcePipelined(t)
 	sp := parseSpecT(t)
 	path := recordSpecTrace(t, sp, 1, 150_000)
-	cfg := Config{TracePath: path, Instructions: 100_000, Secure: true, Shards: 4}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sharding != nil {
-		t.Errorf("trace replay ran sharded (%+v); want sequential fallback", res.Sharding)
-	}
+	runTwin(t, fixed(Config{TracePath: path, Instructions: 100_000, Secure: true}))
 }
 
 func TestConfigSpecValidation(t *testing.T) {
@@ -228,5 +204,47 @@ func TestSuiteRejectsSpecAndTrace(t *testing.T) {
 	}
 	if _, err := RunSuite(Config{TracePath: "x.mtrc"}, []string{"canneal"}, 1); err == nil {
 		t.Error("RunSuite accepted a base config with TracePath")
+	}
+}
+
+// TestTraceAddressOutOfRange: a trace record at or above 2^62 would
+// collide with the event encoding's flag bits, so the run must fail
+// with errAddrRange, inline and pipelined, rather than simulate a
+// corrupted stream (a stats reset mid-run, a phantom writeback).
+func TestTraceAddressOutOfRange(t *testing.T) {
+	forcePipelined(t)
+	for _, addr := range []uint64{markBit, wbBit | 0x40} {
+		path := filepath.Join(t.TempDir(), "bad.mtrc")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := trace.NewWriter(f, trace.StreamHeader{Name: "crafted", Footprint: 1 << 20}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 1000; i++ {
+			a := i * memlayout.BlockSize
+			if i == 500 {
+				a = addr
+			}
+			if err := w.Write(trace.Record{Addr: a, Gap: 10}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		before := runtime.NumGoroutine()
+		for name, ctx := range map[string]context.Context{"inline": inlineCtx(), "pipelined": context.Background()} {
+			for _, secure := range []bool{false, true} {
+				_, err := RunContext(ctx, Config{TracePath: path, Instructions: 20_000, Secure: secure})
+				if !errors.Is(err, errAddrRange) {
+					t.Errorf("%#x %s secure=%v: got %v, want errAddrRange", addr, name, secure, err)
+				}
+			}
+		}
+		awaitGoroutines(t, before)
 	}
 }

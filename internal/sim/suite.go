@@ -57,9 +57,9 @@ func RunSuiteContext(ctx context.Context, base Config, benchmarks []string, para
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	// Record the fan-out width so runs with Shards == AutoShards size
-	// their epoch parallelism to the CPU budget left over after the
-	// suite's own concurrency (see effectiveShards).
+	// Record the fan-out width so each run pipelines only into the
+	// CPU budget left over after the suite's own concurrency (see
+	// pipelines).
 	ctx = WithConcurrency(ctx, parallelism)
 	endSuite := obs.Span(ctx, "suite", "benchmarks", len(benchmarks), "parallelism", parallelism)
 	if base.Progress != nil {

@@ -261,8 +261,8 @@ func Run(ctx context.Context, spec Spec, parallelism int) (*Result, error) {
 		parallelism = runtime.NumCPU()
 	}
 	pool := jobs.New(parallelism, parallelism, jobs.WithContextWrap(func(ctx context.Context) context.Context {
-		// AutoShards points size their epoch parallelism to whatever
-		// CPU budget the pool's own fan-out leaves unclaimed.
+		// Points pipeline only into cores the pool's own fan-out
+		// leaves unclaimed.
 		return sim.WithConcurrency(ctx, parallelism)
 	}))
 	defer pool.Shutdown(context.Background())
