@@ -13,9 +13,11 @@ GO ?= go
 RACE_PKGS := ./internal/server ./internal/jobs ./internal/results ./internal/sim ./internal/faults ./internal/sweep ./internal/store ./internal/fleet ./internal/journal ./internal/trace ./internal/workload ./internal/workload/spec .
 
 # Twin tests pinning the pipelined placement of a run's back stage to
-# the inline one (internal/sim/pipeline_test.go and friends), plus the
-# recorded Result digests both placements must reproduce.
-PIPELINE_TESTS := TestEpoch|TestEffectiveShards|TestPipeline|TestSpecShardsBitIdentical|TestTraceReplayPipelinedBitIdentical|TestTraceAddressOutOfRange|TestResultDigestsPinned|TestProgressAllocParity|TestConcurrencyFromContext
+# the inline one (internal/sim/pipeline_test.go and friends), the run
+# group twins pinning each RunGroup member to its run alone
+# (internal/sim/group_test.go), plus the recorded Result digests both
+# placements must reproduce.
+PIPELINE_TESTS := TestEpoch|TestEffectiveShards|TestPipeline|TestSpecShardsBitIdentical|TestTraceReplayPipelinedBitIdentical|TestTraceAddressOutOfRange|TestResultDigestsPinned|TestProgressAllocParity|TestConcurrencyFromContext|TestRunGroup|TestFrontOf
 
 # Hot-loop benchmarks guarded by the perf-regression gate
 # (cmd/benchcheck + BENCH_kernel.json; see docs/PERFORMANCE.md).

@@ -130,17 +130,31 @@ func runTasks(ctx context.Context, n, parallelism int, fn func(ctx context.Conte
 }
 
 // runAll executes jobs with bounded parallelism, failing fast on the
-// first error. Configs must not share mutable state (pass benchmarks
-// by name so each run builds private generators; taps must be
-// per-job).
+// first error. Jobs that share a front (same benchmark, seed, length,
+// and hierarchy; see sim.FrontOf) are grouped by sweep.Groups and each
+// group runs as one sim.RunGroup, so back-end variants of one
+// benchmark simulate its generator and hierarchy once. Configs must
+// not share mutable state (pass benchmarks by name so each run builds
+// private generators; taps must be per-job).
 func runAll(jobList []job, opt Options) error {
-	return runTasks(context.Background(), len(jobList), opt.Parallelism, func(ctx context.Context, i int) error {
-		j := &jobList[i]
-		res, err := sim.RunContext(ctx, j.cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", j.cfg.Benchmark, err)
+	points := make([]sweep.Point, len(jobList))
+	for i, j := range jobList {
+		points[i] = sweep.Point{Index: i, Config: j.cfg}
+	}
+	groups := sweep.Groups(points, opt.Parallelism)
+	return runTasks(context.Background(), len(groups), opt.Parallelism, func(ctx context.Context, i int) error {
+		g := groups[i]
+		cfgs := make([]sim.Config, len(g))
+		for k, p := range g {
+			cfgs[k] = p.Config
 		}
-		*j.out = res
+		res, err := sim.RunGroup(ctx, cfgs)
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", cfgs[0].Benchmark, err)
+		}
+		for k, p := range g {
+			*jobList[p.Index].out = res[k]
+		}
 		return nil
 	})
 }

@@ -84,59 +84,50 @@ func Fig6(opt_ Options) (*Fig6Result, error) {
 func fig6Bench(ctx context.Context, bench string, instructions uint64) (map[string]float64, int, error) {
 	mpki := map[string]float64{}
 
-	run := func(p cache.Policy, tap func(trace.Access)) (*sim.Result, error) {
-		return sim.RunContext(ctx, sim.Config{
+	cfg := func(p cache.Policy, tap func(trace.Access)) sim.Config {
+		return sim.Config{
 			Benchmark:    bench,
 			Instructions: instructions,
 			Secure:       true,
 			Speculation:  true,
 			Meta:         &metacache.Config{Size: Fig6CacheSize, Ways: 8, Policy: p},
 			Tap:          tap,
-		})
+		}
+	}
+	run := func(p cache.Policy, tap func(trace.Access)) (*sim.Result, error) {
+		return sim.RunContext(ctx, cfg(p, tap))
 	}
 
-	// True-LRU run gathers the trace MIN will use as future
+	// The online policies need nothing from each other, so they share
+	// one pass of the benchmark's front end (sim.RunGroup). The
+	// true-LRU run also gathers the trace MIN will use as future
 	// knowledge (§V-B: "simulate the benchmark once using true-LRU,
-	// gather the cache access trace").
+	// gather the cache access trace"). typepred is the paper's SVI
+	// future-work suggestion (reuse prediction keyed on metadata
+	// type); eva-pertype is EVA with per-type histograms, the fix
+	// implied by the paper's diagnosis of why single-histogram EVA
+	// fails.
 	lruTrace := &trace.Trace{}
-	r, err := run(policy.NewLRU(), lruTrace.Append)
+	online := []string{"lru", "plru", "eva", "srrip", "typepred", "eva-pertype"}
+	rs, err := sim.RunGroup(ctx, []sim.Config{
+		cfg(policy.NewLRU(), lruTrace.Append),
+		cfg(policy.NewPLRU(), nil),
+		cfg(eva.New(eva.Config{}), nil),
+		cfg(policy.NewSRRIP(), nil),
+		cfg(typepred.New(), nil),
+		cfg(eva.NewPerType(eva.Config{}), nil),
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	mpki["lru"] = r.MetaMPKI
-
-	if r, err = run(policy.NewPLRU(), nil); err != nil {
-		return nil, 0, err
+	for i, name := range online {
+		mpki[name] = rs[i].MetaMPKI
 	}
-	mpki["plru"] = r.MetaMPKI
-
-	if r, err = run(eva.New(eva.Config{}), nil); err != nil {
-		return nil, 0, err
-	}
-	mpki["eva"] = r.MetaMPKI
-
-	if r, err = run(policy.NewSRRIP(), nil); err != nil {
-		return nil, 0, err
-	}
-	mpki["srrip"] = r.MetaMPKI
-
-	// The paper's SVI future-work suggestion: reuse prediction keyed
-	// on metadata type.
-	if r, err = run(typepred.New(), nil); err != nil {
-		return nil, 0, err
-	}
-	mpki["typepred"] = r.MetaMPKI
-
-	// EVA with per-type histograms: the fix implied by the paper's
-	// diagnosis of why single-histogram EVA fails.
-	if r, err = run(eva.NewPerType(eva.Config{}), nil); err != nil {
-		return nil, 0, err
-	}
-	mpki["eva-pertype"] = r.MetaMPKI
 
 	// MIN with (stale-able) future knowledge from the LRU trace.
 	minTrace := &trace.Trace{}
-	if r, err = run(opt.NewMIN(lruTrace), minTrace.Append); err != nil {
+	r, err := run(opt.NewMIN(lruTrace), minTrace.Append)
+	if err != nil {
 		return nil, 0, err
 	}
 	mpki["min"] = r.MetaMPKI

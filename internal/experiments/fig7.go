@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/maps-sim/mapsim/internal/energy"
 	"github.com/maps-sim/mapsim/internal/metacache"
@@ -51,21 +49,22 @@ func Fig7(opt Options) (*Fig7Result, error) {
 		}
 	}
 
-	data := map[string]*benchData{}
-	var mu sync.Mutex
-	err := runTasks(context.Background(), len(benches), opt.Parallelism, func(ctx context.Context, i int) error {
-		b := benches[i]
-		d, err := fig7Bench(ctx, b, opt.Instructions)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", b, err)
-		}
-		mu.Lock()
-		data[b] = d
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
+	// Every scheme of one benchmark shares its front, so runAll
+	// simulates each benchmark's generator and hierarchy once per
+	// group.
+	var jobList []job
+	runs := map[string]*fig7Runs{}
+	for _, b := range benches {
+		r := &fig7Runs{}
+		runs[b] = r
+		jobList = append(jobList, r.jobs(b, opt.Instructions)...)
+	}
+	if err := runAll(jobList, opt); err != nil {
 		return nil, err
+	}
+	data := map[string]*benchData{}
+	for _, b := range benches {
+		data[b] = runs[b].data()
 	}
 
 	res := &Fig7Result{
@@ -113,39 +112,47 @@ type benchData struct {
 	static   map[int]float64 // counter ways -> ED^2
 }
 
-func fig7Bench(ctx context.Context, bench string, instructions uint64) (*benchData, error) {
-	d := &benchData{static: map[int]float64{}}
+// fig7Runs holds one benchmark's runs: the insecure baseline, the
+// unpartitioned cache, dynamic partitioning, and every static split.
+type fig7Runs struct {
+	baseline, none, dynamic *sim.Result
+	static                  [Fig7Ways]*sim.Result // index = counter ways
+}
 
-	run := func(secure bool, scheme partition.Scheme) (float64, error) {
+// jobs lists the runs for bench, each delivering into r.
+func (r *fig7Runs) jobs(bench string, instructions uint64) []job {
+	mk := func(out **sim.Result, secure bool, scheme partition.Scheme) job {
 		cfg := sim.Config{Benchmark: bench, Instructions: instructions}
 		if secure {
 			cfg.Secure = true
 			cfg.Speculation = true
 			cfg.Meta = &metacache.Config{Size: Fig7CacheSize, Ways: Fig7Ways, Partition: scheme}
 		}
-		r, err := sim.RunContext(ctx, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return r.ED2, nil
+		return job{cfg: cfg, out: out}
 	}
-
-	var err error
-	if d.baseline, err = run(false, nil); err != nil {
-		return nil, err
-	}
-	if d.none, err = run(true, nil); err != nil {
-		return nil, err
-	}
-	if d.dynamic, err = run(true, partition.NewDynamic(2, 6)); err != nil {
-		return nil, err
+	jobList := []job{
+		mk(&r.baseline, false, nil),
+		mk(&r.none, true, nil),
+		mk(&r.dynamic, true, partition.NewDynamic(2, 6)),
 	}
 	for w := 1; w < Fig7Ways; w++ {
-		if d.static[w], err = run(true, partition.NewStatic(w)); err != nil {
-			return nil, err
-		}
+		jobList = append(jobList, mk(&r.static[w], true, partition.NewStatic(w)))
 	}
-	return d, nil
+	return jobList
+}
+
+// data extracts the ED^2 of every run.
+func (r *fig7Runs) data() *benchData {
+	d := &benchData{
+		baseline: r.baseline.ED2,
+		none:     r.none.ED2,
+		dynamic:  r.dynamic.ED2,
+		static:   map[int]float64{},
+	}
+	for w := 1; w < Fig7Ways; w++ {
+		d.static[w] = r.static[w].ED2
+	}
+	return d
 }
 
 // Render prints the overhead table with each benchmark's best split.

@@ -37,11 +37,19 @@ func TreeStretch(opt Options) (*TreeStretchResult, error) {
 		CDF:             map[string]map[string][]float64{},
 		TreeAccessesPKI: map[string]map[string]float64{},
 	}
+	type run struct {
+		bench, name string
+		an          *reuse.Analyzer
+		out         *sim.Result
+	}
+	var runs []*run
+	var jobList []job
 	for _, b := range benches {
 		res.CDF[b] = map[string][]float64{}
 		res.TreeAccessesPKI[b] = map[string]float64{}
 		for _, cached := range []bool{false, true} {
-			an := reuse.NewAnalyzer(int(opt.Instructions / 2))
+			r := &run{bench: b, name: "nocache", an: reuse.NewAnalyzer(int(opt.Instructions / 2))}
+			an := r.an
 			cfg := sim.Config{
 				Benchmark:    b,
 				Instructions: opt.Instructions,
@@ -52,20 +60,20 @@ func TreeStretch(opt Options) (*TreeStretchResult, error) {
 				},
 			}
 			if cached {
+				r.name = "cached"
 				cfg.Meta = &metacache.Config{Size: 64 << 10, Ways: 8}
 			}
-			r, err := sim.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			name := "nocache"
-			if cached {
-				name = "cached"
-			}
-			res.CDF[b][name] = an.CDF(memlayout.KindTree, ReuseThresholds)
-			res.TreeAccessesPKI[b][name] = float64(an.Accesses(memlayout.KindTree)) /
-				(float64(r.Instructions) / 1000)
+			runs = append(runs, r)
+			jobList = append(jobList, job{cfg: cfg, out: &r.out})
 		}
+	}
+	if err := runAll(jobList, opt); err != nil {
+		return nil, err
+	}
+	for _, r := range runs {
+		res.CDF[r.bench][r.name] = r.an.CDF(memlayout.KindTree, ReuseThresholds)
+		res.TreeAccessesPKI[r.bench][r.name] = float64(r.an.Accesses(memlayout.KindTree)) /
+			(float64(r.out.Instructions) / 1000)
 	}
 	return res, nil
 }

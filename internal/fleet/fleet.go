@@ -4,7 +4,9 @@
 // in-flight points per worker, steals work from slow workers,
 // excludes workers whose health probe fails, re-issues straggling
 // points past a deadline, and resolves duplicate completions (the
-// price of stealing) exactly once. Both the local jobs pool
+// price of stealing) exactly once. Cold points that share a front go
+// out in run groups to lanes that can run them (GroupRunner), each
+// group one simulation pass. Both the local jobs pool
 // (PoolRunner) and remote daemons (mapsim.NewWorkerRunner, in the
 // root package) plug in through the Runner interface, so a fleet of
 // one local worker behaves byte-identically to the single-node sweep
@@ -53,6 +55,20 @@ type Runner interface {
 	// Healthy probes the worker (e.g. GET /readyz); an unhealthy
 	// worker is excluded from dispatch until a later probe passes.
 	Healthy(ctx context.Context) bool
+}
+
+// GroupRunner is a Runner that can also simulate a run group —
+// points sharing a front (sweep.Groups) — as one job. A slot on such
+// a lane claims a whole group; every other lane claims groups of one
+// through Run.
+type GroupRunner interface {
+	Runner
+	// RunGroup executes points as one group and returns their results
+	// in order. The group succeeds or fails as a unit, under Run's
+	// error conventions; timeout is the per-point deadline. A group
+	// lane simulates every point it is given (the coordinator owns
+	// cache lookups), so unlike Run it takes no noCache.
+	RunGroup(ctx context.Context, points []sweep.Point, timeout time.Duration) ([]*sim.Result, error)
 }
 
 // Worker pairs a Runner with its dispatch bound.
@@ -111,7 +127,8 @@ type Coordinator struct {
 	// OnPoint, when set, observes every completed point in completion
 	// order; calls are serialized.
 	OnPoint func(sweep.PointResult)
-	// Timeout is the per-point deadline passed to Runner.Run (0 = none).
+	// Timeout is the per-point deadline passed to Runner.Run and
+	// GroupRunner.RunGroup (0 = none).
 	Timeout time.Duration
 	// StragglerAfter re-issues a point still in flight after this long
 	// to another worker (0 disables straggler re-issue; rescue of
@@ -134,14 +151,20 @@ type Coordinator struct {
 type task struct {
 	point      sweep.Point
 	key        results.Key
+	group      []*task // the point's run group (sweep.Groups), itself included
 	done       bool
 	attempts   int       // times issued to a worker
 	inflight   int       // workers currently running it (>1 after a steal)
 	queued     int       // copies sitting in the queue
+	skip       int       // queued copies already claimed with a group, discarded when pulled
 	pending    int       // copies picked up but not yet claimed (health probe in progress)
 	lastIssue  time.Time // most recent dispatch, for straggler detection
+	lastSize   int       // members dispatched with it then, which scales its straggler deadline
 	lastWorker string    // most recent worker, for re-issue attribution
 }
+
+// live counts t's queued copies still waiting to be claimed.
+func (t *task) live() int { return t.queued - t.skip }
 
 // runState is one Run's private coordination state.
 type runState struct {
@@ -246,13 +269,46 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 		return res, nil
 	}
 
+	// Cold points sharing a front form run groups sized to the
+	// fleet's dispatch slots; a group-capable lane claims a group at
+	// once.
+	slots := 0
+	for _, w := range c.Workers {
+		slots += max(w.MaxInflight, 1)
+	}
+	byIndex := make(map[int]*task, len(tasks))
+	cold := make([]sweep.Point, len(tasks))
+	for i, t := range tasks {
+		byIndex[t.point.Index] = t
+		cold[i] = t.point
+	}
+	groups := sweep.Groups(cold, slots)
+	for _, g := range groups {
+		group := make([]*task, len(g))
+		for i, p := range g {
+			group[i] = byIndex[p.Index]
+		}
+		for _, t := range group {
+			t.group = group
+		}
+	}
+
 	// Queue capacity covers every possible copy: each task holds at
-	// most maxAttempts+1 queued copies at once (unhealthy hand-backs
-	// are net-zero), so sends only ever block on a bug.
-	r.queue = make(chan *task, len(tasks)*(r.maxAttempts+1)+len(c.Workers))
-	for _, t := range tasks {
-		r.queue <- t
-		t.queued = 1
+	// most maxAttempts+1 live queued copies at once (unhealthy
+	// hand-backs are net-zero) plus at most maxAttempts copies left
+	// behind by group claims, so sends only ever block on a bug.
+	r.queue = make(chan *task, len(tasks)*(2*r.maxAttempts+1)+len(c.Workers))
+	// Queue the groups round-robin, one point of each in turn: there
+	// are about as many groups as slots, so the slots' first pulls
+	// land in different groups and each claims one whole.
+	for i := 0; i < sweep.MaxGroup; i++ {
+		for _, g := range groups {
+			if i < len(g) {
+				t := byIndex[g[i].Index]
+				r.queue <- t
+				t.queued = 1
+			}
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -320,9 +376,11 @@ func (c *Coordinator) lookup(ctx context.Context, spec sweep.Spec, p sweep.Point
 }
 
 // slot is one in-flight dispatch lane on worker w: pull a point,
-// gate on health, run it, hand the outcome to complete.
+// gate on health, claim it (with its run group's queued points on a
+// GroupRunner lane), run the claim, hand each outcome to complete.
 func (c *Coordinator) slot(rctx context.Context, r *runState, w Worker) {
 	name := w.Runner.Name()
+	gr, grouping := w.Runner.(GroupRunner)
 	for {
 		select {
 		case <-rctx.Done():
@@ -330,6 +388,12 @@ func (c *Coordinator) slot(rctx context.Context, r *runState, w Worker) {
 		case t := <-r.queue:
 			r.mu.Lock()
 			t.queued--
+			if t.skip > 0 {
+				// A copy left behind when a group claimed t.
+				t.skip--
+				r.mu.Unlock()
+				continue
+			}
 			if t.done || r.firstErr != nil {
 				r.mu.Unlock()
 				continue
@@ -361,28 +425,72 @@ func (c *Coordinator) slot(rctx context.Context, r *runState, w Worker) {
 				r.mu.Unlock()
 				continue
 			}
-			steal := t.inflight > 0
-			t.inflight++
-			t.attempts++
-			t.lastIssue = time.Now()
-			t.lastWorker = name
+			claim, steals := r.claim(t, name, grouping)
 			r.mu.Unlock()
-			c.Metrics.dispatch(name, steal)
-			if steal && c.Logger != nil {
-				c.Logger.Debug("fleet point stolen",
-					"worker", name, "point", t.point.Index)
+			for i, ct := range claim {
+				c.Metrics.dispatch(name, steals[i])
+				if steals[i] && c.Logger != nil {
+					c.Logger.Debug("fleet point stolen",
+						"worker", name, "point", ct.point.Index)
+				}
 			}
 
-			var res *sim.Result
+			var res []*sim.Result
 			err := faults.P(FaultDispatch).Hit()
-			if err != nil {
+			switch {
+			case err != nil:
 				err = WorkerFailure(fmt.Errorf("fleet: dispatch to %s: %w", name, err))
-			} else {
-				res, err = w.Runner.Run(rctx, t.point, c.Timeout, r.noCache)
+			case len(claim) == 1:
+				var one *sim.Result
+				one, err = w.Runner.Run(rctx, t.point, c.Timeout, r.noCache)
+				res = []*sim.Result{one}
+			default:
+				points := make([]sweep.Point, len(claim))
+				for i, ct := range claim {
+					points[i] = ct.point
+				}
+				res, err = gr.RunGroup(rctx, points, c.Timeout)
+				if err == nil && len(res) != len(claim) {
+					err = fmt.Errorf("fleet: %s returned %d results for a %d-point group", name, len(res), len(claim))
+				}
 			}
-			c.complete(r, t, name, res, err)
+			for i, ct := range claim {
+				var one *sim.Result
+				if err == nil {
+					one = res[i]
+				}
+				c.complete(r, ct, name, one, err)
+			}
 		}
 	}
+}
+
+// claim issues t to worker, and with group set also every other
+// point of t's run group that has a live queued copy (whose copy the
+// claim consumes). It returns the claimed tasks, t first, with
+// whether each was a steal (already in flight elsewhere); callers
+// hold mu.
+func (r *runState) claim(t *task, worker string, group bool) ([]*task, []bool) {
+	claim := []*task{t}
+	if group {
+		for _, s := range t.group {
+			if s != t && !s.done && s.live() > 0 {
+				s.skip++
+				claim = append(claim, s)
+			}
+		}
+	}
+	steals := make([]bool, len(claim))
+	now := time.Now()
+	for i, ct := range claim {
+		steals[i] = ct.inflight > 0
+		ct.inflight++
+		ct.attempts++
+		ct.lastIssue = now
+		ct.lastSize = len(claim)
+		ct.lastWorker = worker
+	}
+	return claim, steals
 }
 
 // probe checks w's health (through the fleet.health fault point) and
@@ -451,7 +559,8 @@ func (c *Coordinator) complete(r *runState, t *task, worker string, res *sim.Res
 }
 
 // monitor is the straggler/rescue loop: re-issue points in flight
-// past StragglerAfter, and resend any point that is neither queued
+// past StragglerAfter (times the size of the group they went out
+// with), and resend any point that is neither queued
 // nor in flight (a resend lost to a momentarily full queue).
 func (c *Coordinator) monitor(rctx context.Context, r *runState) {
 	tick := 50 * time.Millisecond
@@ -477,14 +586,16 @@ func (c *Coordinator) monitor(rctx context.Context, r *runState) {
 			if t.done {
 				continue
 			}
-			if t.queued == 0 && t.inflight == 0 && t.pending == 0 {
+			if t.live() == 0 && t.inflight == 0 && t.pending == 0 {
 				r.resend(t) // rescue a stranded point
 				continue
 			}
-			if c.StragglerAfter > 0 && t.queued == 0 && t.pending == 0 && t.inflight > 0 &&
-				t.attempts < r.maxAttempts && now.Sub(t.lastIssue) > c.StragglerAfter {
+			// A group's deadline scales with its size, like its
+			// timeout: k points in one job take about k times as long.
+			if c.StragglerAfter > 0 && t.live() == 0 && t.pending == 0 && t.inflight > 0 &&
+				t.attempts < r.maxAttempts && now.Sub(t.lastIssue) > c.StragglerAfter*time.Duration(t.lastSize) {
 				r.resend(t)
-				if t.queued > 0 {
+				if t.live() > 0 {
 					c.Metrics.reissue(t.lastWorker)
 					if c.Logger != nil {
 						c.Logger.Info("fleet straggler re-issued",

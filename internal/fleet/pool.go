@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/jobs"
@@ -35,21 +34,17 @@ func (r *PoolRunner) Name() string {
 // errors are returned plain: a failure on the local pool fails the
 // sweep fast, matching single-node engine semantics.
 func (r *PoolRunner) Run(ctx context.Context, p sweep.Point, timeout time.Duration, _ bool) (*sim.Result, error) {
-	out, err := r.Pool.Run(ctx, func(jctx context.Context) (any, error) {
-		cfg, err := sweep.Instantiate(p)
-		if err != nil {
-			return nil, err
-		}
-		return sim.RunContext(jctx, cfg)
-	}, timeout)
+	rs, err := sweep.RunGroup(ctx, r.Pool, []sweep.Point{p}, timeout)
 	if err != nil {
 		return nil, err
 	}
-	res, ok := out.(*sim.Result)
-	if !ok {
-		return nil, fmt.Errorf("fleet: point job returned %T, want *sim.Result", out)
-	}
-	return res, nil
+	return rs[0], nil
+}
+
+// RunGroup executes points that share a front as one pool job, under
+// a deadline of timeout × len(points); errors follow Run's rules.
+func (r *PoolRunner) RunGroup(ctx context.Context, points []sweep.Point, timeout time.Duration) ([]*sim.Result, error) {
+	return sweep.RunGroup(ctx, r.Pool, points, timeout)
 }
 
 // Healthy reports whether the pool is accepting work.

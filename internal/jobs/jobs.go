@@ -131,10 +131,13 @@ type job struct {
 	timeout time.Duration
 	cancel  context.CancelFunc // non-nil once running; also set for queued cancellation
 	doneCh  chan struct{}      // closed on reaching a terminal state
+	count   uint64             // simulations the job performs (see RunBatch)
 }
 
-// Stats counts pool activity. Queued/Running are current populations;
-// the rest are cumulative.
+// Stats counts pool activity. Queued/Running are current populations
+// of jobs; the rest are cumulative. Submitted, Completed, Failed, and
+// Canceled count simulations: a batch job (RunBatch) counts as its
+// size.
 type Stats struct {
 	Workers   int    `json:"workers"`
 	QueueCap  int    `json:"queue_capacity"`
@@ -255,6 +258,11 @@ func New(workers, depth int, opts ...Option) *Pool {
 // check and the enqueue happen under one lock, so a submission can
 // never race into a closing queue.
 func (p *Pool) Submit(fn Fn, timeout time.Duration) (string, error) {
+	return p.submit(fn, timeout, 1)
+}
+
+// submit enqueues fn as a job performing count simulations.
+func (p *Pool) submit(fn Fn, timeout time.Duration, count uint64) (string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -270,6 +278,7 @@ func (p *Pool) Submit(fn Fn, timeout time.Duration) (string, error) {
 		fn:      fn,
 		timeout: timeout,
 		doneCh:  make(chan struct{}),
+		count:   count,
 	}
 	select {
 	case p.queue <- j:
@@ -280,7 +289,7 @@ func (p *Pool) Submit(fn Fn, timeout time.Duration) (string, error) {
 		return "", ErrQueueFull
 	}
 	p.jobs[j.snap.ID] = j
-	p.stats.Submitted++
+	p.stats.Submitted += count
 	p.stats.Queued++
 	p.log.Info("job enqueued", "job_id", j.snap.ID, "queue_depth", p.stats.Queued)
 	return j.snap.ID, nil
@@ -307,6 +316,7 @@ func (p *Pool) Complete(result any) (string, error) {
 			Result:   result,
 		},
 		doneCh: make(chan struct{}),
+		count:  1,
 	}
 	close(j.doneCh)
 	p.jobs[j.snap.ID] = j
@@ -380,10 +390,17 @@ func (p *Pool) Wait(ctx context.Context, id string) (Snapshot, error) {
 // running — and returns the context error; a failed job returns its
 // error with a nil result.
 func (p *Pool) Run(ctx context.Context, fn Fn, timeout time.Duration) (any, error) {
+	return p.RunBatch(ctx, 1, fn, timeout)
+}
+
+// RunBatch is Run for a job that performs n simulations at once (a
+// sweep's run group): it takes one queue slot and one worker, but
+// counts n in the Submitted, Completed, Failed, and Canceled stats.
+func (p *Pool) RunBatch(ctx context.Context, n int, fn Fn, timeout time.Duration) (any, error) {
 	var id string
 	for backoff := time.Millisecond; ; {
 		var err error
-		id, err = p.Submit(fn, timeout)
+		id, err = p.submit(fn, timeout, uint64(max(n, 1)))
 		if err == nil {
 			break
 		}
@@ -565,11 +582,11 @@ func (p *Pool) finishLocked(j *job, state State, result any, err error) {
 	}
 	switch state {
 	case StateDone:
-		p.stats.Completed++
+		p.stats.Completed += j.count
 	case StateFailed:
-		p.stats.Failed++
+		p.stats.Failed += j.count
 	case StateCanceled:
-		p.stats.Canceled++
+		p.stats.Canceled += j.count
 	}
 	attrs := []any{
 		"job_id", j.snap.ID,

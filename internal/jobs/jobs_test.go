@@ -491,3 +491,26 @@ func TestWithContextWrap(t *testing.T) {
 		t.Fatalf("job context value = %v, want 42 (wrap not applied)", out)
 	}
 }
+
+// TestRunBatchCountsSimulations: a batch job takes one worker but
+// counts its size in the cumulative stats, whatever its outcome.
+func TestRunBatchCountsSimulations(t *testing.T) {
+	p := New(1, 4)
+	defer p.Shutdown(context.Background())
+	if out, err := p.RunBatch(context.Background(), 5, func(context.Context) (any, error) { return "ok", nil }, 0); err != nil || out != "ok" {
+		t.Fatalf("RunBatch = %v, %v", out, err)
+	}
+	if _, err := p.RunBatch(context.Background(), 3, func(context.Context) (any, error) { return nil, errors.New("boom") }, 0); err == nil {
+		t.Fatal("failing batch succeeded")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.RunBatch(ctx, 2, func(ctx context.Context) (any, error) { return nil, ctx.Err() }, 0)
+	s := p.Stats()
+	if s.Completed != 5 || s.Failed != 3 || s.Submitted < 8 || s.Queued != 0 || s.Running != 0 {
+		t.Fatalf("stats %+v: want 5 completed and 3 failed of at least 8 submitted, none queued or running", s)
+	}
+	if s.Submitted != s.Completed+s.Failed+s.Canceled {
+		t.Fatalf("stats %+v: submitted does not add up to its outcomes", s)
+	}
+}

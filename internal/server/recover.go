@@ -40,8 +40,9 @@ func sweepGridHash(points []sweep.Point) string {
 
 // recoverSweeps replays the journal directory and resumes every sweep
 // that lacks a terminal status record. Terminal journals are evidence
-// of finished work whose results live in the store; their files are
-// removed. Called once from New, after the pool and store are serving.
+// of finished work whose results live in the store (startSweep flushes
+// the store's disk writes before recording a terminal status); their
+// files are removed. Called once from New, after the pool and store are serving.
 func (s *Server) recoverSweeps() {
 	sweeps, err := s.journal.Replay()
 	if err != nil {

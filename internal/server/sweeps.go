@@ -291,6 +291,10 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 	go func() {
 		defer cancel()
 		res, err := coord.Run(ctx, spec)
+		// A terminal status (and journal record) tells recovery the
+		// points live in the store, so they must be on disk first:
+		// Put only queues the disk write.
+		s.flushStore(j.id)
 		j.mu.Lock()
 		j.status.Finished = time.Now()
 		switch {
@@ -318,6 +322,20 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 		}
 		close(j.done)
 	}()
+}
+
+// storeFlushTimeout bounds the wait for a finished sweep's disk
+// writes, so a wedged disk delays sweeps rather than hanging them.
+const storeFlushTimeout = time.Minute
+
+// flushStore waits until every queued store write has reached disk.
+func (s *Server) flushStore(sweepID string) {
+	ctx, cancel := context.WithTimeout(context.Background(), storeFlushTimeout)
+	defer cancel()
+	if err := s.store.Flush(ctx); err != nil {
+		s.log.Warn("sweep finished before its results reached disk",
+			"sweep", sweepID, "err", err)
+	}
 }
 
 // journalAdmit opens the sweep's write-ahead log and records its

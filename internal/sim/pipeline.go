@@ -16,6 +16,11 @@
 // event: the front resets the hierarchy's statistics when it finishes
 // warmup, and the back resets the engine's and DRAM's when it reaches
 // the marker.
+//
+// Because the front never reads the back, one front can feed several
+// backs: a run group (RunGroup) hands every batch to each member's
+// back in turn, so configs that differ only in their back ends share
+// the generator and hierarchy work.
 
 package sim
 
@@ -30,6 +35,7 @@ import (
 	"github.com/maps-sim/mapsim/internal/dram"
 	"github.com/maps-sim/mapsim/internal/hierarchy"
 	"github.com/maps-sim/mapsim/internal/memlayout"
+	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/obs"
 	"github.com/maps-sim/mapsim/internal/secmem/engine"
 	"github.com/maps-sim/mapsim/internal/workload"
@@ -97,6 +103,7 @@ func concurrencyFrom(ctx context.Context) int {
 // stage on a goroutine of its own: only secure runs, whose back end
 // is heavy enough to pay for the hand-off, and only when the CPU
 // budget left by the caller's own parallelism is two cores or more.
+// A run group pipelines when any member would.
 func pipelines(ctx context.Context, cfg *Config) bool {
 	return cfg.Secure && cpuCount()/concurrencyFrom(ctx) >= 2
 }
@@ -109,10 +116,11 @@ var errBackStopped = errors.New("sim: back stage stopped")
 // goroutine and owns the run's cancellation checks, Progress ticks,
 // and the sim.step fault point.
 type front struct {
-	ctx  context.Context
-	gen  workload.Generator
-	hier *hierarchy.Hierarchy
-	prog *obs.Progress
+	ctx   context.Context
+	gen   workload.Generator
+	hier  *hierarchy.Hierarchy
+	prog  *obs.Progress   // a one-member group's Progress, if any
+	progs []*obs.Progress // a larger group's, by member; nil entries tick nothing
 
 	l2Lat, l3Lat uint64
 	baseCPI      float64
@@ -155,9 +163,7 @@ loop:
 		instrs += gap
 		sinceCheck += gap
 		if sinceCheck >= cancelCheckInterval {
-			if f.prog != nil {
-				f.prog.Add(sinceCheck)
-			}
+			f.tick(sinceCheck)
 			sinceCheck = 0
 			if err = f.ctx.Err(); err != nil {
 				break
@@ -204,6 +210,18 @@ loop:
 	return instrs, err
 }
 
+// tick adds n retired instructions to every member's Progress.
+func (f *front) tick(n uint64) {
+	if f.prog != nil {
+		f.prog.Add(n)
+	}
+	for _, p := range f.progs {
+		if p != nil {
+			p.Add(n)
+		}
+	}
+}
+
 // endWarmup closes the warmup: the marker carries the warmup's
 // trailing cycles to the back stage, and the hierarchy — front-only
 // state — starts its measured statistics now.
@@ -229,23 +247,49 @@ func (f *front) flush() error {
 	return nil
 }
 
-// back is the engine + metadata cache + DRAM stage (DRAM alone when
-// eng is nil). It runs the engine's Tap, so a Tap sees the metadata
-// stream in simulation order on whichever goroutine the stage runs.
+// back is one member's engine + metadata cache + DRAM (DRAM alone
+// when eng is nil) and the cycle counter its miss latencies advance.
+// It runs the engine's Tap, so a Tap sees the metadata stream in
+// simulation order on whichever goroutine the stage runs.
 type back struct {
-	ctx   context.Context
-	bench string
-	eng   *engine.Engine
-	mem   *dram.Memory
+	eng  *engine.Engine
+	meta *metacache.MetaCache
+	mem  *dram.Memory
 
 	cycles      uint64
 	cyclesStart uint64 // cycles at the end of warmup
+}
 
-	// endWarmup closes the warmup span when the marker arrives;
-	// endMeasure, opened then, closes the measure span.
-	endWarmup  func() time.Duration
-	endMeasure func() time.Duration
-	warmup     time.Duration
+// build constructs the back end cfg describes for a workload of the
+// given footprint.
+func (b *back) build(cfg *Config, footprint uint64) error {
+	mem, err := dram.New(cfg.DRAM)
+	if err != nil {
+		return err
+	}
+	b.mem = mem
+	if !cfg.Secure {
+		return nil
+	}
+	footprint = (footprint + memlayout.PageSize - 1) &^ (memlayout.PageSize - 1)
+	layout, err := memlayout.New(cfg.Org, footprint)
+	if err != nil {
+		return err
+	}
+	if cfg.Meta != nil {
+		if b.meta, err = metacache.New(*cfg.Meta); err != nil {
+			return err
+		}
+	}
+	b.eng, err = engine.New(engine.Config{
+		Layout:            layout,
+		Meta:              b.meta,
+		DRAM:              mem,
+		Speculation:       cfg.Speculation,
+		SpeculationWindow: cfg.SpeculationWindow,
+		Tap:               cfg.Tap,
+	})
+	return err
 }
 
 // consume simulates one batch of events.
@@ -288,15 +332,42 @@ func (b *back) mark(cycles uint64) {
 		b.eng.ResetStats()
 	}
 	b.cyclesStart = cycles
-	b.warmup = b.endWarmup()
-	b.endMeasure = obs.Span(b.ctx, "measure", "benchmark", b.bench)
+}
+
+// backs is the back stage of a run group: every member's back, fed
+// each batch in member order. It owns the warmup and measure spans,
+// which describe the whole group.
+type backs struct {
+	ctx     context.Context
+	bench   string
+	members []back
+	one     [1]back // members' storage in a one-member group
+
+	// endWarmup closes the warmup span when the marker arrives;
+	// endMeasure, opened then, closes the measure span.
+	endWarmup  func() time.Duration
+	endMeasure func() time.Duration
+	warmup     time.Duration
+}
+
+// consume simulates one batch on every member.
+func (s *backs) consume(evs []event) {
+	for i := range s.members {
+		s.members[i].consume(evs)
+	}
+	// The front flushes right after queuing the marker, so a batch
+	// holding the marker ends with it.
+	if n := len(evs); n > 0 && evs[n-1].addr == markBit {
+		s.warmup = s.endWarmup()
+		s.endMeasure = obs.Span(s.ctx, "measure", "benchmark", s.bench)
+	}
 }
 
 // emitInline is the front's emit when the back stage runs on the
 // front's goroutine: it consumes the batch at once and hands the same
 // buffer back.
-func (b *back) emitInline(evs []event) []event {
-	b.consume(evs)
+func (s *backs) emitInline(evs []event) []event {
+	s.consume(evs)
 	return evs[:batchLen]
 }
 
@@ -317,7 +388,7 @@ type pipe struct {
 
 // startPipe starts b on a new goroutine and returns the pipe feeding
 // it, along with the front's first empty batch.
-func startPipe(b *back) (*pipe, []event) {
+func startPipe(b *backs) (*pipe, []event) {
 	p := &pipe{
 		full: make(chan []event, ringLen),
 		free: make(chan []event, ringLen),

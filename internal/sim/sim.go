@@ -12,6 +12,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -312,79 +313,175 @@ var faultStep = faults.P("sim.step")
 func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
 // RunContext executes one simulation, stopping early with ctx.Err()
-// if the context is cancelled or its deadline passes mid-run.
+// if the context is cancelled or its deadline passes mid-run. It is
+// the one-member RunGroup.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
+	var out [1]*Result
+	if err := runGroup(ctx, []Config{cfg}, out[:]); err != nil {
 		return nil, err
 	}
-	if cfg.DisableFastPath {
-		cfg.Hierarchy.DisableFastPath = true
-		if cfg.Meta != nil {
-			metaCopy := *cfg.Meta
-			metaCopy.DisableFastPath = true
-			cfg.Meta = &metaCopy
-		}
-	}
-	pipelined := pipelines(ctx, &cfg)
-	endRun := obs.Span(ctx, "run", "benchmark", cfg.Benchmark, "pipelined", pipelined)
-	endSetup := obs.Span(ctx, "setup", "benchmark", cfg.Benchmark)
-	prog := cfg.Progress
-	if prog != nil {
-		// EnsureTotal, not Start: in a suite fan-out the coordinator
-		// has already published the whole suite's total.
-		prog.EnsureTotal(cfg.Warmup + cfg.Instructions)
-	}
-	gen := cfg.Workload
-	gen.Reset(cfg.Seed)
+	return out[0], nil
+}
 
-	hier, err := hierarchy.New(cfg.Hierarchy)
-	if err != nil {
-		return nil, err
-	}
-	mem, err := dram.New(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
+// Front is the identity of a run's front stage (workload generator +
+// cache hierarchy): the fields the front reads, with defaults
+// applied. Configs with equal Fronts produce the same LLC event
+// stream, whatever their back ends (secure or not, organization,
+// metadata cache, DRAM), so RunGroup simulates that front once for
+// all of them.
+type Front struct {
+	// Workload names the access stream: a benchmark name, or "spec:"
+	// and the canonical JSON of a workload spec.
+	Workload string
+	// Seed through L3HitLatency are the Config fields of the same
+	// names, defaults applied.
+	Seed         int64
+	Warmup       uint64
+	Instructions uint64
+	// Hierarchy includes the effective DisableFastPath (the config's
+	// own flag or the hierarchy's).
+	Hierarchy    hierarchy.Config
+	BaseCPI      float64
+	L2HitLatency uint64
+	L3HitLatency uint64
+}
 
-	var eng *engine.Engine
-	var meta *metacache.MetaCache
-	if cfg.Secure {
-		footprint := (gen.Footprint() + memlayout.PageSize - 1) &^ (memlayout.PageSize - 1)
-		layout, err := memlayout.New(cfg.Org, footprint)
-		if err != nil {
-			return nil, err
+// FrontOf returns cfg's front identity. ok is false for a config
+// that must run alone: a trace replay or caller-supplied Workload,
+// whose generator is machine-local state with no identity of its own,
+// or a config whose workload fields are missing or conflict.
+func FrontOf(cfg Config) (f Front, ok bool) {
+	if cfg.Workload != nil || cfg.TracePath != "" {
+		return Front{}, false
+	}
+	switch {
+	case cfg.WorkloadSpec != nil:
+		if cfg.WorkloadSpec.Validate() != nil ||
+			cfg.Benchmark != "" && cfg.Benchmark != cfg.WorkloadSpec.Name {
+			return Front{}, false
 		}
-		if cfg.Meta != nil {
-			meta, err = metacache.New(*cfg.Meta)
-			if err != nil {
-				return nil, err
+		f.Workload = "spec:" + string(cfg.WorkloadSpec.CanonicalJSON())
+	case cfg.Benchmark != "":
+		f.Workload = cfg.Benchmark
+	default:
+		return Front{}, false
+	}
+	cfg.fillDefaults()
+	f.Seed, f.Warmup, f.Instructions = cfg.Seed, cfg.Warmup, cfg.Instructions
+	f.Hierarchy = cfg.Hierarchy
+	f.Hierarchy.DisableFastPath = cfg.Hierarchy.DisableFastPath || cfg.DisableFastPath
+	f.BaseCPI, f.L2HitLatency, f.L3HitLatency = cfg.BaseCPI, cfg.L2HitLatency, cfg.L3HitLatency
+	return f, true
+}
+
+// RunGroup simulates configs that share one front (FrontOf) in a
+// single pass: one generator + hierarchy feeds every member's own
+// back end (engine, metadata cache, DRAM, cycle counter), batch by
+// batch in member order. Each member's Result, Timing aside, is
+// exactly what RunContext returns for it alone; Timing reports 1/k
+// of the group's setup, warmup, measure, and total host time, so
+// members' timings still sum to the time spent. Each member's Tap
+// sees its own metadata stream in simulation order and each
+// Progress is ticked. The group fails as a unit, and it is rejected
+// up front unless every member shares the first one's front.
+func RunGroup(ctx context.Context, cfgs []Config) ([]*Result, error) {
+	out := make([]*Result, len(cfgs))
+	if err := runGroup(ctx, append([]Config(nil), cfgs...), out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runGroup is RunGroup on configs it may fill in place, delivering
+// member i's Result to out[i]. A one-member group allocates nothing
+// beyond what a run always did (benchcheck gates allocs/op), hence
+// the caller-supplied out and the one-member special cases below.
+func runGroup(ctx context.Context, cfgs []Config, out []*Result) error {
+	if len(cfgs) == 0 {
+		return errors.New("sim: empty run group")
+	}
+	if len(cfgs) > 1 {
+		lead, ok := FrontOf(cfgs[0])
+		for i := range cfgs {
+			if f, fok := FrontOf(cfgs[i]); !ok || !fok || f != lead {
+				return fmt.Errorf("sim: run group member %d (%s) does not share member 0's front", i, cfgs[i].Benchmark)
 			}
 		}
-		eng, err = engine.New(engine.Config{
-			Layout:            layout,
-			Meta:              meta,
-			DRAM:              mem,
-			Speculation:       cfg.Speculation,
-			SpeculationWindow: cfg.SpeculationWindow,
-			Tap:               cfg.Tap,
-		})
-		if err != nil {
-			return nil, err
+	}
+	if err := cfgs[0].fill(); err != nil {
+		return err
+	}
+	pipelined := false
+	for i := range cfgs {
+		c := &cfgs[i]
+		if i > 0 {
+			c.fillDefaults() // the front, generator included, is member 0's
+		}
+		if c.DisableFastPath {
+			c.Hierarchy.DisableFastPath = true
+			if c.Meta != nil {
+				metaCopy := *c.Meta
+				metaCopy.DisableFastPath = true
+				c.Meta = &metaCopy
+			}
+		}
+		pipelined = pipelined || pipelines(ctx, c)
+	}
+	lead := &cfgs[0]
+	endRun := obs.Span(ctx, "run", "benchmark", lead.Benchmark, "pipelined", pipelined, "members", len(cfgs))
+	endSetup := obs.Span(ctx, "setup", "benchmark", lead.Benchmark)
+	var prog *obs.Progress
+	var progs []*obs.Progress
+	if len(cfgs) == 1 {
+		prog = lead.Progress
+	} else {
+		progs = make([]*obs.Progress, len(cfgs))
+	}
+	for i := range cfgs {
+		if p := cfgs[i].Progress; p != nil {
+			// EnsureTotal, not Start: in a suite fan-out the
+			// coordinator has already published the whole suite's
+			// total.
+			p.EnsureTotal(cfgs[i].Warmup + cfgs[i].Instructions)
+			if progs != nil {
+				progs[i] = p
+			}
+		}
+	}
+	gen := lead.Workload
+	gen.Reset(lead.Seed)
+
+	hier, err := hierarchy.New(lead.Hierarchy)
+	if err != nil {
+		return err
+	}
+	// The two stages (see pipeline.go): the front runs here; the back
+	// — every member's, in turn — runs batch by batch on this
+	// goroutine or, pipelined, on its own.
+	bk := &backs{ctx: ctx, bench: lead.Benchmark}
+	bk.members = bk.one[:]
+	if len(cfgs) > 1 {
+		bk.members = make([]back, len(cfgs))
+	}
+	for i := range cfgs {
+		if err := bk.members[i].build(&cfgs[i], gen.Footprint()); err != nil {
+			if len(cfgs) > 1 {
+				err = fmt.Errorf("sim: run group member %d: %w", i, err)
+			}
+			return err
 		}
 	}
 	setupTime := endSetup()
 
-	// The two stages (see pipeline.go): the front runs here; the back
-	// runs batch by batch on this goroutine or, pipelined, on its own.
-	bk := &back{ctx: ctx, bench: cfg.Benchmark, eng: eng, mem: mem}
 	fr := &front{
 		ctx:     ctx,
 		gen:     gen,
 		hier:    hier,
 		prog:    prog,
-		l2Lat:   cfg.L2HitLatency,
-		l3Lat:   cfg.L3HitLatency,
-		baseCPI: cfg.BaseCPI,
+		progs:   progs,
+		l2Lat:   lead.L2HitLatency,
+		l3Lat:   lead.L3HitLatency,
+		baseCPI: lead.BaseCPI,
 	}
 	var p *pipe
 	if pipelined {
@@ -396,14 +493,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Warmup: run, then discard statistics (state persists).
-	bk.endWarmup = obs.Span(ctx, "warmup", "benchmark", cfg.Benchmark)
-	_, err = fr.run(cfg.Warmup)
+	bk.endWarmup = obs.Span(ctx, "warmup", "benchmark", lead.Benchmark)
+	_, err = fr.run(lead.Warmup)
 	if err == nil {
 		err = fr.endWarmup()
 	}
 	var measured uint64
 	if err == nil {
-		measured, err = fr.run(cfg.Instructions)
+		measured, err = fr.run(lead.Instructions)
 	}
 	if err == nil {
 		err = fr.flush()
@@ -415,29 +512,36 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s: %w", cfg.Benchmark, err)
+		return fmt.Errorf("sim: %s: %w", lead.Benchmark, err)
 	}
 	measureTime := bk.endMeasure()
-	cycles := bk.cycles + fr.pending - bk.cyclesStart
-	if prog != nil && fr.sinceCheck > 0 {
+	if fr.sinceCheck > 0 {
 		// Flush the sub-checkpoint remainder so the run finishes at
 		// exactly Warmup+Instructions done.
-		prog.Add(fr.sinceCheck)
+		fr.tick(fr.sinceCheck)
 	}
 
-	res := buildResult(cfg, measured, cycles, hier, mem, eng, meta)
-	res.Timing = PhaseTiming{
-		Setup:   setupTime,
-		Warmup:  bk.warmup,
-		Measure: measureTime,
-		Total:   endRun(),
+	for i := range cfgs {
+		b := &bk.members[i]
+		cycles := b.cycles + fr.pending - b.cyclesStart
+		out[i] = buildResult(cfgs[i], measured, cycles, hier, b.mem, b.eng, b.meta)
 	}
-	obs.From(ctx).Debug("run done",
-		"benchmark", cfg.Benchmark,
-		"instructions", measured,
-		"ipc", res.IPC,
-		"wall", res.Timing.Total)
-	return res, nil
+	k := time.Duration(len(cfgs))
+	timing := PhaseTiming{
+		Setup:   setupTime / k,
+		Warmup:  bk.warmup / k,
+		Measure: measureTime / k,
+		Total:   endRun() / k,
+	}
+	for _, res := range out {
+		res.Timing = timing
+		obs.From(ctx).Debug("run done",
+			"benchmark", res.Benchmark,
+			"instructions", measured,
+			"ipc", res.IPC,
+			"wall", res.Timing.Total)
+	}
+	return nil
 }
 
 // buildResult assembles the reported Result (everything except

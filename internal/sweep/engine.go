@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -72,7 +73,8 @@ type Engine struct {
 	// Parallelism bounds in-flight submissions (default: the pool's
 	// worker count).
 	Parallelism int
-	// Timeout is the per-point job deadline (0 = none).
+	// Timeout is the per-point deadline (0 = none); a run group's job
+	// gets Timeout × its size.
 	Timeout time.Duration
 }
 
@@ -125,32 +127,42 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		mu.Unlock()
 	}
 
+	// Serve every known point first; the cold rest run in groups
+	// that share a front (Groups), each group one pool job.
+	var cold []Point
+	keys := make(map[int]results.Key)
 	for _, p := range points {
 		key, hit := e.lookup(ctx, spec, p)
 		if hit != nil {
 			deliver(PointResult{Point: p, Result: hit, Cached: true})
 			continue
 		}
+		cold = append(cold, p)
+		keys[p.Index] = key
+	}
+	for _, g := range Groups(cold, parallelism) {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(p Point, key results.Key) {
+		go func(g []Point) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if ctx.Err() != nil {
 				return // a sibling already failed; don't start
 			}
-			r, err := e.runPoint(ctx, p)
+			rs, err := RunGroup(ctx, e.Pool, g, e.Timeout)
 			if err != nil {
 				if ctx.Err() == nil {
-					fail(fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err))
+					fail(fmt.Errorf("sweep: %s: %w", groupLabel(g), err))
 				}
 				return
 			}
-			if e.Cache != nil && key != "" {
-				e.Cache.Put(key, r)
+			for i, p := range g {
+				if key := keys[p.Index]; e.Cache != nil && key != "" {
+					e.Cache.Put(key, rs[i])
+				}
+				deliver(PointResult{Point: p, Result: rs[i]})
 			}
-			deliver(PointResult{Point: p, Result: r})
-		}(p, key)
+		}(g)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -235,23 +247,88 @@ func Instantiate(p Point) (sim.Config, error) {
 	return cfg, nil
 }
 
-// runPoint executes one point as a pool job via Instantiate.
-func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
-	out, err := e.Pool.Run(ctx, func(jctx context.Context) (any, error) {
-		cfg, err := Instantiate(p)
-		if err != nil {
-			return nil, err
+// MaxGroup caps a run group's members, so the back ends (engine,
+// metadata cache, DRAM) alive at once stay bounded.
+const MaxGroup = 16
+
+// Groups partitions points into run groups: points whose configs
+// share a front (sim.FrontOf) simulate it once, as one sim.RunGroup.
+// The n points sharing a front split into near-equal groups of at
+// most min(MaxGroup, ceil(n/slots)) members, where slots is the
+// number of dispatch slots that will run them, so the groups still
+// keep every slot busy. slots counts as at least two: a group reports
+// nothing until all its members finish, so even a one-slot sweep
+// completes a front in two steps and a restart or cancellation
+// midway keeps half its work. Points without a front identity form
+// groups of one. Groups are ordered by their first point, members by
+// grid order. Every executor — the engine, the fleet coordinator,
+// and the experiments — groups through this one rule.
+func Groups(points []Point, slots int) [][]Point {
+	slots = max(slots, 2)
+	var fronts []sim.Front
+	byFront := make(map[sim.Front][]Point)
+	var groups [][]Point
+	for _, p := range points {
+		f, ok := sim.FrontOf(p.Config)
+		if !ok {
+			groups = append(groups, []Point{p})
+			continue
 		}
-		return sim.RunContext(jctx, cfg)
-	}, e.Timeout)
+		if _, seen := byFront[f]; !seen {
+			fronts = append(fronts, f)
+		}
+		byFront[f] = append(byFront[f], p)
+	}
+	for _, f := range fronts {
+		pts := byFront[f]
+		size := min(MaxGroup, (len(pts)+slots-1)/slots)
+		n := (len(pts) + size - 1) / size
+		for i := 0; i < n; i++ {
+			// Near-equal split: group i takes points [i*len/n, (i+1)*len/n).
+			groups = append(groups, pts[i*len(pts)/n:(i+1)*len(pts)/n])
+		}
+	}
+	sort.SliceStable(groups, func(i, k int) bool { return groups[i][0].Index < groups[k][0].Index })
+	return groups
+}
+
+// groupLabel names a run group in errors by its first point.
+func groupLabel(g []Point) string {
+	label := fmt.Sprintf("point %d (%s)", g[0].Index, g[0])
+	if len(g) > 1 {
+		label += fmt.Sprintf(" and %d more in its run group", len(g)-1)
+	}
+	return label
+}
+
+// RunGroup simulates points as one run group on pool: each point
+// instantiated through Instantiate, then one sim.RunGroup as a single
+// pool job (a batch of len(points) in the pool's counters, which
+// therefore still count simulated points). timeout is per point, so the job's deadline is timeout ×
+// len(points) (0 = none). Every executor that simulates sweep points
+// locally — the engine and the fleet's pool runner — runs them
+// through here, which keeps fleet results bit-identical to local
+// ones.
+func RunGroup(ctx context.Context, pool *jobs.Pool, points []Point, timeout time.Duration) ([]*sim.Result, error) {
+	out, err := pool.RunBatch(ctx, len(points), func(jctx context.Context) (any, error) {
+		cfgs := make([]sim.Config, len(points))
+		for i, p := range points {
+			cfg, err := Instantiate(p)
+			if err != nil {
+				return nil, err
+			}
+			cfgs[i] = cfg
+		}
+		return sim.RunGroup(jctx, cfgs)
+	}, timeout*time.Duration(len(points)))
 	if err != nil {
 		return nil, err
 	}
-	r, ok := out.(*sim.Result)
-	if !ok {
-		return nil, fmt.Errorf("sweep: point job returned %T, want *sim.Result", out)
+	rs, ok := out.([]*sim.Result)
+	if !ok || len(rs) != len(points) {
+		return nil, fmt.Errorf("sweep: group job returned %T, want %d results", out, len(points))
 	}
-	return r, nil
+	return rs, nil
 }
 
 // Run is the one-shot convenience: a transient pool sized to

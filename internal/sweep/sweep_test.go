@@ -280,3 +280,113 @@ func TestPolicyPartitionConstructors(t *testing.T) {
 		}
 	}
 }
+
+// TestGroups pins the grouping rule: points sharing a front split
+// into near-equal groups of min(MaxGroup, ceil(n/max(slots, 2))),
+// points with different fronts never share a group, and groups keep
+// grid order.
+func TestGroups(t *testing.T) {
+	grid := func(benches []string, llcs []int, metas int) []Point {
+		t.Helper()
+		var sizes []int
+		for i := 0; i < metas; i++ {
+			sizes = append(sizes, (4<<10)<<i)
+		}
+		pts, err := Spec{
+			Base: sim.Config{Instructions: testInstructions},
+			Axes: Axes{
+				Benchmarks: benches, Secure: []bool{true, false},
+				LLC: IntAxis{Points: llcs}, Meta: IntAxis{Points: sizes},
+			},
+		}.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	sizes := func(groups [][]Point) []int {
+		var out []int
+		for _, g := range groups {
+			out = append(out, len(g))
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		pts   []Point
+		slots int
+		want  []int
+	}{
+		{"16-on-2-slots", grid([]string{"lbm"}, nil, 8), 2, []int{8, 8}},
+		{"16-on-1-slot", grid([]string{"lbm"}, nil, 8), 1, []int{8, 8}},
+		{"16-on-16-slots", grid([]string{"lbm"}, nil, 8), 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{"capped", grid([]string{"lbm"}, nil, 40), 2, []int{16, 16, 16, 16, 16}},
+		{"uneven", grid([]string{"lbm"}, nil, 5), 4, []int{2, 3, 2, 3}},
+		{"two-fronts", grid([]string{"lbm", "mcf"}, nil, 2), 1, []int{2, 2, 2, 2}},
+		{"llc-splits-fronts", grid([]string{"lbm"}, []int{1 << 20, 2 << 20}, 2), 1, []int{2, 2, 2, 2}},
+	}
+	for _, tc := range cases {
+		groups := Groups(tc.pts, tc.slots)
+		if got := sizes(groups); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: group sizes %v, want %v", tc.name, got, tc.want)
+		}
+		seen := map[int]bool{}
+		last := -1
+		for _, g := range groups {
+			if g[0].Index <= last {
+				t.Errorf("%s: groups out of grid order", tc.name)
+			}
+			last = g[0].Index
+			f, _ := sim.FrontOf(g[0].Config)
+			for i, p := range g {
+				if seen[p.Index] {
+					t.Errorf("%s: point %d in two groups", tc.name, p.Index)
+				}
+				seen[p.Index] = true
+				if i > 0 && p.Index <= g[i-1].Index {
+					t.Errorf("%s: members out of grid order", tc.name)
+				}
+				if pf, _ := sim.FrontOf(p.Config); pf != f {
+					t.Errorf("%s: point %d grouped with a different front", tc.name, p.Index)
+				}
+			}
+		}
+		if len(seen) != len(tc.pts) {
+			t.Errorf("%s: %d of %d points grouped", tc.name, len(seen), len(tc.pts))
+		}
+	}
+}
+
+// TestGroupedSweepMatchesDirectRuns: on one slot each benchmark's
+// points run as two groups, and every point must still equal its
+// materialized config run alone (host timing aside).
+func TestGroupedSweepMatchesDirectRuns(t *testing.T) {
+	spec := fig1Spec()
+	spec.Axes.Policies = []string{"plru", "lru"}
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := Groups(points, 1); len(g) != 4 {
+		t.Fatalf("fig1 grid on one slot forms %d groups, want two per benchmark", len(g))
+	}
+	res, err := Run(context.Background(), spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		cfg, err := Instantiate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := *res.Points[i].Result, *direct
+		a.Timing, b.Timing = sim.PhaseTiming{}, sim.PhaseTiming{}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("point %d (%s): grouped sweep result differs from a direct run", i, p)
+		}
+	}
+}
