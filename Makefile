@@ -59,20 +59,24 @@ race:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
 
-# Ten seconds of coverage-guided fuzzing per decoder that parses
-# untrusted bytes: the trace readers (legacy and streaming), the
-# workload-spec parser (hand-rolled YAML fed by user files and wire
-# requests), the store's envelope decoder (fed by disk files and peer
-# responses), and the sweep journal's record decoder (fed by
-# crash-scrambled WAL files) — enough to catch parser regressions on
-# malformed input without slowing the gate meaningfully. Fuzz corpus
-# findings land in each package's testdata.
+# Ten seconds of coverage-guided fuzzing per target. Five targets are
+# decoders that parse untrusted bytes: the trace readers (legacy and
+# streaming), the workload-spec parser (hand-rolled YAML fed by user
+# files and wire requests), the store's envelope decoder (fed by disk
+# files and peer responses), and the sweep journal's record decoder
+# (fed by crash-scrambled WAL files). The sixth is differential: it
+# holds the hierarchy's recency-ordered true-LRU level to cache.Cache
+# with policy.LRU on fuzzer-chosen geometries and access streams.
+# Enough to catch regressions on malformed or adversarial input without
+# slowing the gate meaningfully. Fuzz corpus findings land in each
+# package's testdata.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzReadStream -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeWorkloadSpec -fuzztime=10s ./internal/workload/spec
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeJournalRecord -fuzztime=10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s ./internal/hierarchy
 
 # Full benchmark pass: measure the access kernel and end-to-end runs,
 # then record the numbers into BENCH_kernel.json's current section.

@@ -1,9 +1,12 @@
 // Package cache provides the set-associative cache simulator used for
-// both the processor cache hierarchy and the metadata cache. It
-// supports pluggable replacement policies, write-back dirty tracking,
-// per-8B-slot valid bits (for the partial-write optimization studied
-// in MAPS §IV-E), victim-candidate masks (for way partitioning), and
-// caller-defined block classes (metadata types).
+// the metadata cache. It supports pluggable replacement policies,
+// write-back dirty tracking, per-8B-slot valid bits (for the
+// partial-write optimization studied in MAPS §IV-E), victim-candidate
+// masks (for way partitioning), and caller-defined block classes
+// (metadata types). The processor cache hierarchy keeps its own
+// recency-ordered true-LRU levels (internal/hierarchy) and uses a
+// Cache only as their reference model: Geometry is the shape rule
+// both share, and Stats the counters both report.
 package cache
 
 import (
@@ -203,18 +206,30 @@ type Cache struct {
 	plruMRU []uint64
 }
 
-// New creates a cache of size bytes with the given associativity.
-// size must yield a power-of-two number of sets of 64 B lines.
-func New(size, ways int, policy Policy) (*Cache, error) {
+// Geometry checks a cache shape and returns its set count: ways must
+// lie in [1, MaxWays] and size must split into a power-of-two number
+// of ways-way sets of BlockSize lines. New applies it, and so does
+// any other model of the same geometry.
+func Geometry(size, ways int) (sets int, err error) {
 	if ways <= 0 || ways > MaxWays {
-		return nil, fmt.Errorf("cache: ways %d out of range [1,%d]", ways, MaxWays)
+		return 0, fmt.Errorf("cache: ways %d out of range [1,%d]", ways, MaxWays)
 	}
 	if size <= 0 || size%(BlockSize*ways) != 0 {
-		return nil, fmt.Errorf("cache: size %d not divisible into %d-way sets of %d B lines", size, ways, BlockSize)
+		return 0, fmt.Errorf("cache: size %d not divisible into %d-way sets of %d B lines", size, ways, BlockSize)
 	}
-	sets := size / (BlockSize * ways)
+	sets = size / (BlockSize * ways)
 	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d is not a power of two", sets)
+		return 0, fmt.Errorf("cache: set count %d is not a power of two", sets)
+	}
+	return sets, nil
+}
+
+// New creates a cache of size bytes with the given associativity.
+// size and ways must pass Geometry.
+func New(size, ways int, policy Policy) (*Cache, error) {
+	sets, err := Geometry(size, ways)
+	if err != nil {
+		return nil, err
 	}
 	c := &Cache{
 		sets:    sets,
@@ -472,64 +487,6 @@ func (c *Cache) Access(addr uint64, write bool, opt Options) Result {
 	}}
 }
 
-// FastAccess is Access(addr, write, WholeBlock) narrowed to what a
-// write-back hierarchy consumes: the hit flag and the displaced dirty
-// block, if any (evDirty implies an eviction happened; clean
-// evictions are not reported). The three scalar results and two
-// scalar arguments stay in registers, where the Options/Result
-// structs of the general entry point bounce through the stack at
-// every call site — measurable at L1 access rates. Generic
-// (non-inlined) policies divert to Access so behaviour is identical
-// for every policy.
-func (c *Cache) FastAccess(addr uint64, write bool) (hit bool, evAddr uint64, evDirty bool) {
-	if c.inline == InlineNone {
-		r := c.Access(addr, write, WholeBlock)
-		return r.Hit, r.Evicted.Addr, r.Evicted.Valid && r.Evicted.Dirty
-	}
-	addr = align(addr)
-	if c.observer != nil {
-		c.observer.OnAccess(addr, write)
-	}
-	set := c.SetOf(addr)
-	mbase := set * 3 * c.ways
-	tags := c.meta[mbase : mbase+c.ways]
-	key := addr | 1
-	for w := range tags {
-		if tags[w] == key {
-			c.stats.Hits++
-			if write {
-				c.meta[mbase+2*c.ways+w] |= flagDirty
-			}
-			if c.inline == InlineLRU {
-				c.lruClock++
-				c.meta[mbase+c.ways+w] = c.lruClock
-			} else {
-				c.touch(set, w)
-			}
-			return true, 0, false
-		}
-	}
-	c.stats.Misses++
-	var way int
-	if free := c.fullWays &^ c.valid[set]; free != 0 {
-		way = bits.TrailingZeros64(free)
-	} else {
-		way = c.victim(set, c.fullWays)
-		evAddr = c.meta[mbase+way] &^ 1
-		evDirty = c.meta[mbase+2*c.ways+way]&flagDirty != 0
-		c.stats.Evictions++
-		if evDirty {
-			c.stats.DirtyEvicts++
-		}
-	}
-	c.meta[mbase+way] = key
-	c.meta[mbase+2*c.ways+way] = packFlags(0, write, FullMask)
-	c.valid[set] |= 1 << uint(way)
-	c.stats.Inserts++
-	c.touch(set, way)
-	return false, evAddr, evDirty
-}
-
 // FastAccessClassed is the whole-block entry point used by the
 // metadata cache: Access(addr, write, Options{Class: class, Slot: -1,
 // Allowed: allowed}) narrowed to registers. evFlags is the displaced
@@ -625,7 +582,7 @@ func (c *Cache) victim(set int, allowed uint64) int {
 	if c.inline == InlineLRU {
 		lru := set*3*c.ways + c.ways
 		if allowed == c.fullWays {
-			// Unrestricted victim choice (the hierarchy's case): a
+			// Unrestricted victim choice (an unpartitioned cache): a
 			// straight scan of the stamp stripe, no mask iteration.
 			// Stamps are distinct (each is a unique clock value), so
 			// the first minimum is the minimum.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"github.com/maps-sim/mapsim/internal/cache"
-	"github.com/maps-sim/mapsim/internal/cache/policy"
 )
 
 // Level identifies where an access was satisfied.
@@ -45,10 +44,11 @@ type Config struct {
 	L1Size, L1Ways int
 	L2Size, L2Ways int
 	L3Size, L3Ways int
-	// DisableFastPath forces every level's LRU through the generic
-	// Policy interface instead of the cache's devirtualized fast path.
-	// Results are bit-identical by contract; the cross-check tests use
-	// this to prove it.
+	// DisableFastPath runs every level as a cache.Cache whose true
+	// LRU goes through the generic Policy interface
+	// (policy.Generic(policy.NewLRU())), instead of the levels' own
+	// recency-ordered sets. Results are bit-identical by contract;
+	// the twin tests use this reference path to prove it.
 	DisableFastPath bool
 }
 
@@ -73,29 +73,22 @@ type Outcome struct {
 // Hierarchy is a three-level, write-back, write-allocate,
 // non-inclusive cache stack using true LRU at every level.
 type Hierarchy struct {
-	l1, l2, l3 *cache.Cache
+	l1, l2, l3 *level
 	// scratch avoids an allocation per access.
 	scratch []uint64
 }
 
-// New builds a hierarchy. Each level must satisfy the cache package's
-// geometry rules.
+// New builds a hierarchy. Each level must satisfy cache.Geometry.
 func New(cfg Config) (*Hierarchy, error) {
-	newLRU := func() cache.Policy {
-		if cfg.DisableFastPath {
-			return policy.Generic(policy.NewLRU())
-		}
-		return policy.NewLRU()
-	}
-	l1, err := cache.New(cfg.L1Size, cfg.L1Ways, newLRU())
+	l1, err := newLevel(cfg.L1Size, cfg.L1Ways, cfg.DisableFastPath)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: L1: %w", err)
 	}
-	l2, err := cache.New(cfg.L2Size, cfg.L2Ways, newLRU())
+	l2, err := newLevel(cfg.L2Size, cfg.L2Ways, cfg.DisableFastPath)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: L2: %w", err)
 	}
-	l3, err := cache.New(cfg.L3Size, cfg.L3Ways, newLRU())
+	l3, err := newLevel(cfg.L3Size, cfg.L3Ways, cfg.DisableFastPath)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: L3: %w", err)
 	}
@@ -112,24 +105,24 @@ func MustNew(cfg Config) *Hierarchy {
 }
 
 // L1Stats, L2Stats and L3Stats expose per-level counters.
-func (h *Hierarchy) L1Stats() cache.Stats { return h.l1.Stats() }
+func (h *Hierarchy) L1Stats() cache.Stats { return h.l1.stats() }
 
 // L2Stats returns the second-level counters.
-func (h *Hierarchy) L2Stats() cache.Stats { return h.l2.Stats() }
+func (h *Hierarchy) L2Stats() cache.Stats { return h.l2.stats() }
 
 // L3Stats returns the last-level counters.
-func (h *Hierarchy) L3Stats() cache.Stats { return h.l3.Stats() }
+func (h *Hierarchy) L3Stats() cache.Stats { return h.l3.stats() }
 
 // ResetStats zeroes all levels' counters (contents persist), for
 // post-warmup measurement.
 func (h *Hierarchy) ResetStats() {
-	h.l1.ResetStats()
-	h.l2.ResetStats()
-	h.l3.ResetStats()
+	h.l1.resetStats()
+	h.l2.resetStats()
+	h.l3.resetStats()
 }
 
 // LLCSize reports the last-level capacity in bytes.
-func (h *Hierarchy) LLCSize() int { return h.l3.SizeBytes() }
+func (h *Hierarchy) LLCSize() int { return h.l3.sizeBytes() }
 
 // Access runs one data reference through the hierarchy. The returned
 // Outcome's Writebacks slice is reused across calls; callers must
@@ -138,7 +131,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) Outcome {
 	h.scratch = h.scratch[:0]
 	out := Outcome{}
 
-	hit1, ev1, dirty1 := h.l1.FastAccess(addr, write)
+	hit1, ev1, dirty1 := h.l1.access(addr, write)
 	if dirty1 {
 		h.writeLower(h.l2, ev1)
 	}
@@ -148,7 +141,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) Outcome {
 		return out
 	}
 
-	hit2, ev2, dirty2 := h.l2.FastAccess(addr, false)
+	hit2, ev2, dirty2 := h.l2.access(addr, false)
 	if dirty2 {
 		h.writeLower(h.l3, ev2)
 	}
@@ -158,7 +151,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) Outcome {
 		return out
 	}
 
-	hit3, ev3, dirty3 := h.l3.FastAccess(addr, false)
+	hit3, ev3, dirty3 := h.l3.access(addr, false)
 	if dirty3 {
 		h.scratch = append(h.scratch, ev3)
 	}
@@ -174,36 +167,29 @@ func (h *Hierarchy) Access(addr uint64, write bool) Outcome {
 // writeLower installs a dirty block evicted from an upper level into
 // the next level down, cascading further evictions. Writes into the
 // LLC may push dirty blocks to memory.
-func (h *Hierarchy) writeLower(c *cache.Cache, addr uint64) {
-	_, evAddr, evDirty := c.FastAccess(addr, true)
+func (h *Hierarchy) writeLower(l *level, addr uint64) {
+	_, evAddr, evDirty := l.access(addr, true)
 	if !evDirty {
 		return
 	}
-	if c == h.l2 {
+	if l == h.l2 {
 		h.writeLower(h.l3, evAddr)
 		return
 	}
 	h.scratch = append(h.scratch, evAddr)
 }
 
-// FlushWritebacks drains every dirty line in the hierarchy to memory
-// addresses, used at simulation end so writeback accounting balances.
+// FlushWritebacks empties every level and returns the blocks of its
+// dirty lines: the writebacks still owed to memory if the run stopped
+// here. No simulation calls it, because a Result counts only the
+// writebacks that happened during the run; it lets tests check that
+// writeback accounting balances (every block written back was stored,
+// and every stored block is written back). The blocks come L1 first,
+// then L2, then L3; within a level set by set, and within a set most
+// recently used first. With DisableFastPath each level's share is in
+// set/way order instead (cache.Cache.Flush).
 func (h *Hierarchy) FlushWritebacks() []uint64 {
-	var out []uint64
-	for _, l := range h.l1.Flush() {
-		if l.Dirty {
-			out = append(out, l.Addr)
-		}
-	}
-	for _, l := range h.l2.Flush() {
-		if l.Dirty {
-			out = append(out, l.Addr)
-		}
-	}
-	for _, l := range h.l3.Flush() {
-		if l.Dirty {
-			out = append(out, l.Addr)
-		}
-	}
-	return out
+	out := h.l1.flushDirty(nil)
+	out = h.l2.flushDirty(out)
+	return h.l3.flushDirty(out)
 }

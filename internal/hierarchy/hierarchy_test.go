@@ -17,20 +17,26 @@ func TestLevelString(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	cfg := Default()
-	cfg.L1Size = 7
-	if _, err := New(cfg); err == nil {
-		t.Error("bad L1 accepted")
-	}
-	cfg = Default()
-	cfg.L2Ways = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("bad L2 accepted")
-	}
-	cfg = Default()
-	cfg.L3Size = 100
-	if _, err := New(cfg); err == nil {
-		t.Error("bad L3 accepted")
+	// Each level applies cache.Geometry, so the errors are the cache
+	// package's, wrapped with the level's name, on both level paths.
+	for _, tc := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.L1Size = 7 }, "hierarchy: L1: cache: size 7 not divisible into 8-way sets of 64 B lines"},
+		{func(c *Config) { c.L2Ways = 0 }, "hierarchy: L2: cache: ways 0 out of range [1,64]"},
+		{func(c *Config) { c.L3Size = 100 }, "hierarchy: L3: cache: size 100 not divisible into 8-way sets of 64 B lines"},
+		{func(c *Config) { c.L3Ways = 65 }, "hierarchy: L3: cache: ways 65 out of range [1,64]"},
+		{func(c *Config) { c.L2Size = 3 * 8 * 64 }, "hierarchy: L2: cache: set count 3 is not a power of two"},
+	} {
+		for _, ref := range []bool{false, true} {
+			cfg := Default()
+			cfg.DisableFastPath = ref
+			tc.edit(&cfg)
+			if _, err := New(cfg); err == nil || err.Error() != tc.want {
+				t.Errorf("DisableFastPath=%v: error %v, want %q", ref, err, tc.want)
+			}
+		}
 	}
 }
 
