@@ -1,14 +1,14 @@
 # Verify targets. `make check` is the full gate (ROADMAP "Tier-1
-# verify" plus formatting, vet, the doc-comment lint, and the
-# race-detector pass over the concurrent packages); CI and pre-commit
-# should run exactly this.
+# verify" plus formatting, vet, the doc-comment lint, the perfbench
+# module's vet and tests, and the race-detector pass over the
+# concurrent packages); CI and pre-commit should run exactly this.
 
 GO ?= go
 
 # Packages with real concurrency (worker pool, server, suite fan-out,
-# result cache, fault injection, sweep engine, tiered result store,
-# fleet coordinator, sweep journal, and the root package's fleet and
-# crash e2e tests) — the ones -race can actually catch regressions in.
+# result cache, fault injection, sweep executor tests, tiered result
+# store, fleet coordinator, sweep journal, and the root package's fleet
+# and crash e2e tests) — the ones -race can actually catch regressions in.
 # The server and journal lists include the chaos tests.
 RACE_PKGS := ./internal/server ./internal/jobs ./internal/results ./internal/sim ./internal/faults ./internal/sweep ./internal/store ./internal/fleet ./internal/journal ./internal/trace ./internal/workload ./internal/workload/spec .
 
@@ -26,9 +26,9 @@ BENCH_PKG := ./internal/sim
 # Allowed fractional ns/op growth before benchcheck fails the build.
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: check build fmt lint test vet race bench benchcheck fuzzsmoke run-mapsd fleet-demo crash-drill
+.PHONY: check build fmt lint test vet perfbench race bench benchcheck fuzzsmoke run-mapsd fleet-demo crash-drill
 
-check: build fmt vet lint test race fuzzsmoke benchcheck
+check: build fmt vet lint test perfbench race fuzzsmoke benchcheck
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own module (compiled against this tree through a
+# `replace ../`), so the root build, vet, and test never see it; vet
+# and test it here so an API change cannot break the benchmark unseen.
+perfbench:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -555,7 +555,7 @@ func (c *Client) SweepResultRemote(ctx context.Context, id string) (*SweepResult
 
 // RunSweepRemote submits a sweep, streams progress through onUpdate
 // (which may be nil), and returns the completed result — the remote
-// analogue of sweep.Run.
+// analogue of fleet.RunLocal.
 func (c *Client) RunSweepRemote(ctx context.Context, req SweepRequest, onUpdate func(SweepStatus)) (*SweepResult, error) {
 	st, err := c.Sweep(ctx, req)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"github.com/maps-sim/mapsim"
 	"github.com/maps-sim/mapsim/internal/cliutil"
+	"github.com/maps-sim/mapsim/internal/fleet"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/sweep"
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
@@ -19,7 +20,7 @@ import (
 
 // runSweepCmd implements the `maps sweep` verb: a declarative
 // parameter sweep over benchmark × size × policy axes, run locally
-// through internal/sweep or remotely via a mapsd daemon's POST
+// through fleet.RunLocal or remotely via a mapsd daemon's POST
 // /v1/sweeps. Returns the process exit code.
 func runSweepCmd(args []string) int {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
@@ -114,7 +115,7 @@ flags:
 			},
 			Axes: axes,
 		}
-		res, err = sweep.Run(context.Background(), spec, *parallel)
+		res, err = fleet.RunLocal(context.Background(), spec, *parallel)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "maps sweep: %v\n", err)

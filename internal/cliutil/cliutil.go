@@ -4,13 +4,14 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // ParseSize parses human-readable capacities: "64KB", "2MB", "512B",
 // or a bare byte count. It is case-insensitive and ignores
-// surrounding whitespace.
+// surrounding whitespace. Sizes that do not fit an int are rejected.
 func ParseSize(s string) (int, error) {
 	orig := s
 	s = strings.TrimSpace(strings.ToUpper(s))
@@ -31,6 +32,9 @@ func ParseSize(s string) (int, error) {
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("cliutil: negative size %q", orig)
+	}
+	if n > math.MaxInt/mult {
+		return 0, fmt.Errorf("cliutil: size %q overflows", orig)
 	}
 	return n * mult, nil
 }

@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -16,13 +18,21 @@ func TestParseSize(t *testing.T) {
 		" 16kb": 16 << 10,
 		"4mb ":  4 << 20,
 	}
+	// The largest sizes that still fit an int.
+	cases[strconv.Itoa(math.MaxInt>>30)+"GB"] = math.MaxInt >> 30 << 30
+	cases[strconv.Itoa(math.MaxInt>>10)+"KB"] = math.MaxInt >> 10 << 10
+	cases[strconv.Itoa(math.MaxInt)] = math.MaxInt
 	for in, want := range cases {
 		got, err := ParseSize(in)
 		if err != nil || got != want {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "12XB", "-5KB", "KB"} {
+	for _, bad := range []string{"", "abc", "12XB", "-5KB", "KB",
+		// Sizes whose byte count overflows an int.
+		"10000000000GB", "9007199254740992KB",
+		strconv.Itoa(math.MaxInt>>30+1) + "GB", strconv.Itoa(math.MaxInt>>20+1) + "MB",
+		strconv.Itoa(math.MaxInt) + "0"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("ParseSize(%q) accepted", bad)
 		}

@@ -12,7 +12,7 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/maps-sim/mapsim/internal/jobs"
+	"github.com/maps-sim/mapsim/internal/fleet"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/sweep"
 	"github.com/maps-sim/mapsim/internal/workload"
@@ -159,17 +159,12 @@ func runAll(jobList []job, opt Options) error {
 	})
 }
 
-// runSweep executes a sweep spec on a transient worker pool sized to
-// the experiment's parallelism — the shared grid fan-out behind fig1,
-// fig2, and ablate-partial since the sweep-engine refactor. Local
-// experiment runs carry no result cache: every point simulates.
+// runSweep executes a sweep spec in-process at the experiment's
+// parallelism — the shared grid fan-out behind fig1, fig2, and
+// ablate-partial. Local experiment runs carry no result cache: every
+// point simulates.
 func runSweep(spec sweep.Spec, opt Options) (*sweep.Result, error) {
-	pool := jobs.New(opt.Parallelism, opt.Parallelism, jobs.WithContextWrap(func(ctx context.Context) context.Context {
-		return sim.WithConcurrency(ctx, opt.Parallelism)
-	}))
-	defer pool.Shutdown(context.Background())
-	eng := &sweep.Engine{Pool: pool}
-	return eng.Run(context.Background(), spec)
+	return fleet.RunLocal(context.Background(), spec, opt.Parallelism)
 }
 
 // sizeLabel prints capacities the way the paper's axes do.

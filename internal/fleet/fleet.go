@@ -1,16 +1,16 @@
-// Package fleet fans sweep grid points out across a set of mapsd
-// workers. A Coordinator owns the dispatch loop: it dedupes points
-// through the shared result cache before issuing any work, bounds
-// in-flight points per worker, steals work from slow workers,
-// excludes workers whose health probe fails, re-issues straggling
-// points past a deadline, and resolves duplicate completions (the
-// price of stealing) exactly once. Cold points that share a front go
-// out in run groups to lanes that can run them (GroupRunner), each
-// group one simulation pass. Both the local jobs pool
-// (PoolRunner) and remote daemons (mapsim.NewWorkerRunner, in the
-// root package) plug in through the Runner interface, so a fleet of
-// one local worker behaves byte-identically to the single-node sweep
-// engine.
+// Package fleet is the one sweep executor: every sweep — `maps
+// sweep`, the figure experiments through RunLocal, and every mapsd
+// sweep — runs through a Coordinator. The Coordinator owns the
+// dispatch loop: it dedupes points through the shared result cache
+// before issuing any work, bounds in-flight points per worker, steals
+// work from slow workers, excludes workers whose health probe fails,
+// re-issues straggling points past a deadline, and resolves duplicate
+// completions (the price of stealing) exactly once. Cold points that
+// share a front go out in run groups to lanes that can run them
+// (GroupRunner), each group one simulation pass. Both the local jobs
+// pool (PoolRunner) and remote daemons (mapsim.NewWorkerRunner, in
+// the root package) plug in through the Runner interface, so a sweep
+// gives bit-identical results whichever workers run its points.
 package fleet
 
 import (
@@ -71,6 +71,18 @@ type GroupRunner interface {
 	RunGroup(ctx context.Context, points []sweep.Point, timeout time.Duration) ([]*sim.Result, error)
 }
 
+// Cache is the result-store surface the coordinator dedupes through:
+// tier-agnostic Get/Put keyed by content address. The persistent
+// tiered store (internal/store, whose Get may consult disk and peers
+// under ctx) satisfies it.
+type Cache interface {
+	// Get returns the stored value for key; ctx bounds any remote
+	// tier lookups.
+	Get(ctx context.Context, key results.Key) (any, bool)
+	// Put stores value under key.
+	Put(key results.Key, value any)
+}
+
 // Worker pairs a Runner with its dispatch bound.
 type Worker struct {
 	// Runner executes points.
@@ -115,7 +127,7 @@ type Coordinator struct {
 	// Cache, when set, dedupes points against previously computed
 	// results (by results.PointKeyFor) and stores fresh ones —
 	// the fleet's exactly-once layer.
-	Cache sweep.Cache
+	Cache Cache
 	// Completed pre-marks grid indices already finished by an earlier
 	// run of the same sweep (journal recovery): the pre-pass consults
 	// Cache for them even when the spec sets NoCache, so a resumed
@@ -222,7 +234,7 @@ func (r *runState) resend(t *task) {
 // Run expands the spec and executes the grid across the fleet,
 // failing fast on simulation errors and re-issuing points whose
 // worker failed. The returned Result orders points exactly as Expand
-// did and aggregates identically to the single-node engine.
+// did, whatever order they completed in.
 func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
 	if len(c.Workers) == 0 {
 		return nil, errors.New("fleet: no workers registered")
@@ -249,7 +261,7 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 	}
 
 	// Cache pre-pass: serve every already-known point before issuing
-	// any work, exactly as the single-node engine does.
+	// any work.
 	var tasks []*task
 	for _, p := range points {
 		key, hit := c.lookup(rctx, spec, p, c.Completed[p.Index])
@@ -350,9 +362,11 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 	return res, nil
 }
 
-// lookup computes the point's content address and consults the cache,
-// mirroring the single-node engine: same key mapping, so fleet and
-// local sweeps dedupe against each other. force consults the cache
+// lookup computes the point's content address and consults the cache.
+// It returns the key (for the post-run Put) and a non-nil result on a
+// dedupe hit. The key mapping is sweep.CacheNames', so sweep points
+// and plain run jobs dedupe against each other; a point whose config
+// cannot be canonicalized sweeps uncached. force consults the cache
 // even under NoCache — the recovered-point path, where the store is
 // the completed point's only surviving copy.
 func (c *Coordinator) lookup(ctx context.Context, spec sweep.Spec, p sweep.Point, force bool) (results.Key, *sim.Result) {

@@ -191,7 +191,7 @@ func WithLogger(l *slog.Logger) Option {
 }
 
 // WithContextWrap installs a hook applied to every job's context just
-// before the job function runs. The server and the sweep engine use
+// before the job function runs. The server and fleet.RunLocal use
 // it to stamp the pool's worker count into job contexts
 // (sim.WithConcurrency), so a run pipelines its stages only into the
 // CPU budget the pool has not already claimed. A nil wrap is
@@ -385,7 +385,7 @@ func (p *Pool) Wait(ctx context.Context, id string) (Snapshot, error) {
 // Run submits fn and blocks until it finishes, returning its result.
 // Unlike Submit it absorbs back-pressure: when the queue is full it
 // waits and retries instead of returning ErrQueueFull, so batch
-// drivers (the sweep engine) can push an arbitrarily large grid
+// drivers (a sweep's pool runner) can push an arbitrarily large grid
 // through a bounded queue. Cancelling ctx cancels the job — queued or
 // running — and returns the context error; a failed job returns its
 // error with a nil result.

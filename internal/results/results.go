@@ -102,7 +102,7 @@ func SuiteKeyFor(base sim.Config, benchmarks []string) (Key, error) {
 
 // PointKeyFor computes the content address of one sweep point: the
 // simulation config plus the replacement-policy and partition-scheme
-// *names* the sweep engine instantiates per run (instances themselves
+// *names* sweep.Instantiate builds fresh per run (instances themselves
 // are stateful and have no canonical encoding). When both names are
 // empty — the metadata cache's built-in defaults — the key degrades to
 // KeyFor's plain run key, so a sweep point and an identical single-run

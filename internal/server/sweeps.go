@@ -36,7 +36,7 @@ type SweepIntAxis struct {
 	Factor int      `json:"factor,omitempty"`
 }
 
-// toSweep converts to the engine's axis type.
+// toSweep converts to the sweep package's axis type.
 func (a SweepIntAxis) toSweep() sweep.IntAxis {
 	out := sweep.IntAxis{
 		Min: int(a.Min), Max: int(a.Max), Factor: a.Factor,
@@ -83,7 +83,7 @@ type SweepRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// toSpec translates the wire request into an engine spec.
+// toSpec translates the wire request into a sweep spec.
 func (r SweepRequest) toSpec() (sweep.Spec, error) {
 	base, err := r.Base.ToSim()
 	if err != nil {
@@ -247,9 +247,10 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // own goroutine, NOT as a pool job: a coordinator occupying a worker
 // slot while waiting on its own point jobs could deadlock a full pool
 // against itself. This daemon's pool is the first worker (bounded by
-// parallelism), registered remotes are the rest; with no remotes this
-// degenerates to exactly the single-node engine's behavior. completed
-// pre-marks journal-recovered points (nil for fresh sweeps).
+// parallelism), registered remotes are the rest; with no remotes the
+// sweep runs exactly as fleet.RunLocal would run it, plus the store's
+// dedupe. completed pre-marks journal-recovered points (nil for fresh
+// sweeps).
 func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *sweepJob,
 	spec sweep.Spec, parallelism int, timeout time.Duration, completed map[int]bool) {
 	if parallelism <= 0 {

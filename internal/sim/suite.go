@@ -163,7 +163,7 @@ func (s *SuiteResult) computeGeomeans(benchmarks []string) {
 // LLCMPKI for a cache-resident workload — would otherwise be clamped
 // to Geomean's 1e-12 log floor and drag the whole mean to nonsense.
 // With no positive entries the mean is 0. The suite geomeans and the
-// sweep engine's per-axis aggregates share these semantics.
+// sweep per-axis aggregates share these semantics.
 func GeomeanPositive(vals []float64) float64 {
 	pos := make([]float64, 0, len(vals))
 	for _, v := range vals {

@@ -86,10 +86,10 @@ func (r *Result) axisLabels(axis string) []string {
 }
 
 // Aggregate fills Geomeans for every axis that actually varies. The
-// engine and the fleet coordinator call it once, after the last point
-// lands; the computation is deterministic in the grid order, so two
-// sweeps of the same spec aggregate byte-identically no matter which
-// worker ran which point.
+// fleet coordinator calls it once, after the last point lands; the
+// computation is deterministic in the grid order, so two sweeps of
+// the same spec aggregate byte-identically no matter which worker ran
+// which point.
 func (r *Result) Aggregate() {
 	for _, axis := range AxisNames() {
 		labels := r.axisLabels(axis)

@@ -1,12 +1,14 @@
-// Package sweep is the parameter-sweep engine behind every MAPS
+// Package sweep describes the parameter sweeps behind every MAPS
 // figure: a declarative Spec of axes over sim.Config fields —
 // metadata-cache size, content policy, replacement policy, partition
 // scheme, LLC size, benchmark, secure/insecure, partial writes — is
-// expanded into a deterministic config grid, sharded across an
-// internal/jobs worker pool with bounded parallelism and fail-fast
-// cancellation, deduplicated against the internal/results
-// content-addressed cache, and aggregated into a Result with stable
+// expanded into a deterministic config grid, partitioned into run
+// groups that share a front, and aggregated into a Result with stable
 // point ordering, per-axis geomeans, and a rendered pivot table.
+// Executing a sweep — bounded parallelism, fail-fast cancellation,
+// dedupe against the content-addressed result cache — is
+// internal/fleet's job (fleet.RunLocal in-process, a fleet.Coordinator
+// in mapsd).
 //
 // The grid order is fixed (benchmark outermost, then secure, LLC
 // size, metadata size, content, policy, partition, partial writes
@@ -147,7 +149,7 @@ func AxisNames() []string {
 
 // Point is one grid coordinate with its materialized configuration.
 // The Config is canonicalizable (policies and partitions stay names);
-// the engine instantiates fresh policy/partition state per run.
+// Instantiate builds fresh policy/partition state per run.
 type Point struct {
 	// Index is the point's position in grid order.
 	Index int `json:"index"`
@@ -166,7 +168,7 @@ type Point struct {
 	PartialWrites bool   `json:"partial_writes,omitempty"`
 
 	// Config is the fully materialized simulation config (policy and
-	// partition NOT instantiated — see the engine).
+	// partition NOT instantiated — see Instantiate).
 	Config sim.Config `json:"-"`
 }
 
@@ -260,7 +262,7 @@ func PolicyNames() []string {
 // NewPolicy builds a fresh replacement-policy instance for the given
 // name ("" means the plru default, which returns nil — the metadata
 // cache's own default). Policies are stateful, so every run must get
-// its own instance; this is the only constructor the engine uses.
+// its own instance; this is the only constructor Instantiate uses.
 func NewPolicy(name string) (cache.Policy, error) {
 	switch name {
 	case "", DefaultPolicy:

@@ -1,17 +1,11 @@
 package sweep
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/maps-sim/mapsim/internal/cache/policy"
-	"github.com/maps-sim/mapsim/internal/jobs"
 	"github.com/maps-sim/mapsim/internal/metacache"
-	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sim"
 )
 
@@ -33,6 +27,9 @@ func fig1Spec() Spec {
 		},
 	}
 }
+
+// Fig1Spec exports fig1Spec to the external tests in run_test.go.
+var Fig1Spec = fig1Spec
 
 func TestExpandDeterministic(t *testing.T) {
 	spec := fig1Spec()
@@ -130,136 +127,6 @@ func TestExpandRejects(t *testing.T) {
 	}
 }
 
-func TestEngineDedupe(t *testing.T) {
-	pool := jobs.New(4, 16)
-	defer pool.Shutdown(context.Background())
-	cache := results.New(64)
-
-	spec := fig1Spec()
-	eng := &Engine{Pool: pool, Cache: MemCache{C: cache}}
-	first, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Done != first.Total || first.Deduped != 0 {
-		t.Fatalf("first run: done %d/%d, deduped %d", first.Done, first.Total, first.Deduped)
-	}
-
-	second, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Deduped != second.Total {
-		t.Fatalf("second run deduped %d of %d points, want all", second.Deduped, second.Total)
-	}
-	for i := range second.Points {
-		if !second.Points[i].Cached {
-			t.Fatalf("point %d not marked cached on second run", i)
-		}
-		if second.Points[i].Result != first.Points[i].Result {
-			t.Fatalf("point %d: cache returned a different result instance", i)
-		}
-	}
-
-	// NoCache skips lookups but still counts and stores.
-	spec.NoCache = true
-	third, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Deduped != 0 {
-		t.Fatalf("NoCache run deduped %d points, want 0", third.Deduped)
-	}
-}
-
-func TestEngineFailFast(t *testing.T) {
-	pool := jobs.New(2, 8)
-	defer pool.Shutdown(context.Background())
-
-	// A 100-byte metadata cache fails construction inside the
-	// simulator (not divisible into 8-way 64B sets), deterministically.
-	spec := fig1Spec()
-	spec.Axes.Meta = IntAxis{Points: []int{16 << 10, 100}}
-	eng := &Engine{Pool: pool}
-	_, err := eng.Run(context.Background(), spec)
-	if err == nil {
-		t.Fatal("sweep with an unbuildable point succeeded")
-	}
-	if !strings.Contains(err.Error(), "sweep: point") {
-		t.Fatalf("error %q does not name the failing point", err)
-	}
-	if strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("cancellation victim masked the root cause: %v", err)
-	}
-}
-
-func TestEngineCancelMidSweep(t *testing.T) {
-	pool := jobs.New(2, 8)
-	defer pool.Shutdown(context.Background())
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	eng := &Engine{
-		Pool:    pool,
-		OnPoint: func(PointResult) { cancel() }, // cancel after the first completion
-	}
-	_, err := eng.Run(ctx, fig1Spec())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// TestSweepMatchesDirectRun checks the acceptance criterion behind the
-// fig1 refactor: a sweep-produced point is byte-identical (host timing
-// zeroed) to running its materialized config directly.
-func TestSweepMatchesDirectRun(t *testing.T) {
-	spec := fig1Spec()
-	res, err := Run(context.Background(), spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 5} { // one point per benchmark
-		direct, err := sim.Run(points[i].Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := *res.Points[i].Result, *direct
-		a.Timing, b.Timing = sim.PhaseTiming{}, sim.PhaseTiming{}
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
-		if string(aj) != string(bj) {
-			t.Errorf("point %d (%s): sweep result differs from direct run\nsweep:  %s\ndirect: %s",
-				i, points[i], aj, bj)
-		}
-	}
-}
-
-func TestResultRenderAndPivot(t *testing.T) {
-	res, err := Run(context.Background(), fig1Spec(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.Render()
-	for _, want := range []string{"sweep: 8 points", "meta_mpki geomeans", "per-axis geomeans", "libquantum"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Render output missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := res.Pivot(AxisBenchmark, AxisMeta, "ipc"); err != nil {
-		t.Errorf("Pivot(benchmark, meta, ipc): %v", err)
-	}
-	if _, err := res.Pivot(AxisBenchmark, AxisMeta, "bogus"); err == nil {
-		t.Error("Pivot accepted an unknown metric")
-	}
-	if len(res.Geomeans) == 0 {
-		t.Error("no per-axis geomeans aggregated")
-	}
-}
-
 func TestPolicyPartitionConstructors(t *testing.T) {
 	for _, name := range PolicyNames() {
 		if _, err := NewPolicy(name); err != nil {
@@ -353,40 +220,6 @@ func TestGroups(t *testing.T) {
 		}
 		if len(seen) != len(tc.pts) {
 			t.Errorf("%s: %d of %d points grouped", tc.name, len(seen), len(tc.pts))
-		}
-	}
-}
-
-// TestGroupedSweepMatchesDirectRuns: on one slot each benchmark's
-// points run as two groups, and every point must still equal its
-// materialized config run alone (host timing aside).
-func TestGroupedSweepMatchesDirectRuns(t *testing.T) {
-	spec := fig1Spec()
-	spec.Axes.Policies = []string{"plru", "lru"}
-	points, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := Groups(points, 1); len(g) != 4 {
-		t.Fatalf("fig1 grid on one slot forms %d groups, want two per benchmark", len(g))
-	}
-	res, err := Run(context.Background(), spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range points {
-		cfg, err := Instantiate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := sim.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := *res.Points[i].Result, *direct
-		a.Timing, b.Timing = sim.PhaseTiming{}, sim.PhaseTiming{}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("point %d (%s): grouped sweep result differs from a direct run", i, p)
 		}
 	}
 }

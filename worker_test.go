@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -197,6 +198,63 @@ func TestFleetSweepByteIdenticalToSingleDaemon(t *testing.T) {
 	}
 	if sum != last.Total-last.Deduped {
 		t.Fatalf("per-worker attribution %v sums to %d, want %d", last.Workers, sum, last.Total-last.Deduped)
+	}
+}
+
+// TestLocalSweepMatchesDaemonSweep ties `maps sweep`'s in-process
+// path to the service path: the same spec through fleet.RunLocal and
+// through an in-process mapsd must agree on every point — result
+// (host timing aside), worker attribution, and cache flag — and on
+// the per-axis geomeans.
+func TestLocalSweepMatchesDaemonSweep(t *testing.T) {
+	ctx := context.Background()
+	req := fleetSweepRequest()
+	base, err := req.Base.ToSim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta sweep.IntAxis
+	for _, p := range req.Axes.Meta.Points {
+		meta.Points = append(meta.Points, int(p))
+	}
+	spec := sweep.Spec{Base: base, Axes: sweep.Axes{
+		Benchmarks: req.Axes.Benchmarks,
+		Meta:       meta,
+		Contents:   req.Axes.Contents,
+	}}
+	local, err := fleet.RunLocal(ctx, spec, req.Parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := fleetDaemon(t, nil)
+	c := mapsim.NewClient(ts.URL)
+	c.PollInterval = 5 * time.Millisecond
+	remote, err := c.RunSweepRemote(ctx, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if local.Total != 8 || remote.Total != local.Total || len(remote.Points) != len(local.Points) {
+		t.Fatalf("local sweep has %d points, daemon sweep %d, want 8 each", local.Total, remote.Total)
+	}
+	pointJSON := func(pr sweep.PointResult) []byte {
+		r := *pr.Result
+		r.Timing = sim.PhaseTiming{}
+		pr.Result = &r
+		b, err := json.Marshal(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i := range local.Points {
+		if l, r := pointJSON(local.Points[i]), pointJSON(remote.Points[i]); !bytes.Equal(l, r) {
+			t.Errorf("point %d differs:\nlocal:  %s\ndaemon: %s", i, l, r)
+		}
+	}
+	if !reflect.DeepEqual(local.Geomeans, remote.Geomeans) {
+		t.Errorf("geomeans differ:\nlocal:  %+v\ndaemon: %+v", local.Geomeans, remote.Geomeans)
 	}
 }
 
