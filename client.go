@@ -233,7 +233,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode >= 300 {
 		var apiErr struct {
 			Error string `json:"error"`
@@ -510,9 +510,27 @@ func (c *Client) watchSweep(ctx context.Context, id string, last *SweepStatus, s
 			onUpdate(st)
 		}
 		if st.State.Terminal() {
+			// The daemon closes the stream after the terminal line;
+			// reading to that end keeps the connection. Earlier
+			// returns must not drain: the stream may still be open.
+			_, _ = io.CopyN(io.Discard, resp.Body, maxDrain)
 			return st, progressed, nil
 		}
 	}
+}
+
+// maxDrain bounds the unread remainder a client reads to keep a
+// connection alive; past it a fresh dial is cheaper.
+const maxDrain = 64 << 10
+
+// closeBody drains the rest of a complete response body, up to
+// maxDrain, then closes it: the transport reuses a connection only
+// after its body was read to EOF, and a JSON decoder stops at the end
+// of its value, before the trailing newline and chunk terminator. A
+// failed drain costs only the connection.
+func closeBody(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxDrain)
+	body.Close()
 }
 
 // SweepStatus fetches a sweep's current status by ID.

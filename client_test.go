@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -342,6 +343,36 @@ func TestClientSweepEndToEnd(t *testing.T) {
 	}
 	if res2.Deduped == 0 {
 		t.Fatalf("repeat sweep deduped %d points, want > 0", res2.Deduped)
+	}
+}
+
+// TestClientReusesConnection: a client that runs sweep after sweep
+// keeps one keep-alive connection to the daemon. Every reply — the
+// streamed watch and the chunked result alike — must be read to its
+// end, or the transport discards the connection and dials again.
+func TestClientReusesConnection(t *testing.T) {
+	c, _ := startDaemon(t)
+	var dials atomic.Int32
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	c.HTTPClient = &http.Client{Transport: tr}
+	req := mapsim.SweepRequest{
+		Base: mapsim.ConfigSpec{Instructions: 20_000, Speculation: true},
+		Axes: mapsim.SweepAxes{
+			Benchmarks: []string{"fft", "canneal"},
+			Meta:       mapsim.SweepIntAxis{Points: []mapsim.ByteSize{16 << 10, 32 << 10, 64 << 10, 128 << 10}},
+		},
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := c.RunSweepRemote(context.Background(), req, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("4 sequential sweeps dialed %d connections, want 1", n)
 	}
 }
 

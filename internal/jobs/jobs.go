@@ -382,20 +382,16 @@ func (p *Pool) Wait(ctx context.Context, id string) (Snapshot, error) {
 	}
 }
 
-// Run submits fn and blocks until it finishes, returning its result.
-// Unlike Submit it absorbs back-pressure: when the queue is full it
-// waits and retries instead of returning ErrQueueFull, so batch
-// drivers (a sweep's pool runner) can push an arbitrarily large grid
-// through a bounded queue. Cancelling ctx cancels the job — queued or
-// running — and returns the context error; a failed job returns its
-// error with a nil result.
-func (p *Pool) Run(ctx context.Context, fn Fn, timeout time.Duration) (any, error) {
-	return p.RunBatch(ctx, 1, fn, timeout)
-}
-
-// RunBatch is Run for a job that performs n simulations at once (a
-// sweep's run group): it takes one queue slot and one worker, but
-// counts n in the Submitted, Completed, Failed, and Canceled stats.
+// RunBatch submits fn, a job that performs n simulations at once (a
+// sweep's run group), and blocks until it finishes, returning its
+// result. The job takes one queue slot and one worker, but counts n in
+// the Submitted, Completed, Failed, and Canceled stats. Unlike Submit
+// it absorbs back-pressure: when the queue is full it waits and
+// retries instead of returning ErrQueueFull, so batch drivers (a
+// sweep's pool runner) can push an arbitrarily large grid through a
+// bounded queue. Cancelling ctx cancels the job — queued or running —
+// and returns the context error; a failed job returns its error with a
+// nil result.
 func (p *Pool) RunBatch(ctx context.Context, n int, fn Fn, timeout time.Duration) (any, error) {
 	var id string
 	for backoff := time.Millisecond; ; {

@@ -413,7 +413,7 @@ func TestJobsRunFaultPoint(t *testing.T) {
 func TestRunSuccess(t *testing.T) {
 	p := New(2, 4)
 	defer p.Shutdown(context.Background())
-	out, err := p.Run(context.Background(), func(ctx context.Context) (any, error) { return "ok", nil }, 0)
+	out, err := p.RunBatch(context.Background(), 1, func(ctx context.Context) (any, error) { return "ok", nil }, 0)
 	if err != nil || out.(string) != "ok" {
 		t.Fatalf("Run = %v, %v", out, err)
 	}
@@ -422,7 +422,7 @@ func TestRunSuccess(t *testing.T) {
 func TestRunFailedJob(t *testing.T) {
 	p := New(1, 1)
 	defer p.Shutdown(context.Background())
-	_, err := p.Run(context.Background(), func(ctx context.Context) (any, error) {
+	_, err := p.RunBatch(context.Background(), 1, func(ctx context.Context) (any, error) {
 		return nil, errors.New("deterministic boom")
 	}, 0)
 	if err == nil || !strings.Contains(err.Error(), "deterministic boom") {
@@ -441,7 +441,7 @@ func TestRunBackpressureAbsorbsQueueFull(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Run(context.Background(), func(ctx context.Context) (any, error) { return nil, nil }, 0)
+		_, err := p.RunBatch(context.Background(), 1, func(ctx context.Context) (any, error) { return nil, nil }, 0)
 		done <- err
 	}()
 	select {
@@ -465,7 +465,7 @@ func TestRunCtxCancelWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Run(ctx, func(ctx context.Context) (any, error) { return nil, nil }, 0)
+		_, err := p.RunBatch(ctx, 1, func(ctx context.Context) (any, error) { return nil, nil }, 0)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -481,7 +481,7 @@ func TestWithContextWrap(t *testing.T) {
 		return context.WithValue(ctx, wrapKey{}, 42)
 	}))
 	defer p.Shutdown(context.Background())
-	out, err := p.Run(context.Background(), func(ctx context.Context) (any, error) {
+	out, err := p.RunBatch(context.Background(), 1, func(ctx context.Context) (any, error) {
 		return ctx.Value(wrapKey{}), nil
 	}, 0)
 	if err != nil {

@@ -1,12 +1,15 @@
 // Package journal is mapsd's per-sweep write-ahead log: the layer
 // that lets a sweep survive the coordinator that scheduled it. Every
 // admitted sweep appends an admission record (its wire spec plus a
-// canonical grid hash), one record per completed point (canonical
-// config hash → result key, worker attribution), and a terminal
-// status record to an append-only file under the journal directory.
-// On the next startup the daemon replays intact journals and resumes
-// every unfinished sweep with its completed points pre-marked — the
-// result store supplies their payloads, so nothing re-simulates.
+// canonical grid hash) and a terminal status record to an append-only
+// file under the journal directory; a sweep that skips the result
+// store's lookup (NoCache) also appends one record per completed
+// point (canonical config hash → result key, worker attribution). The
+// store carries completed points and the journal carries sweeps: on
+// the next startup the daemon replays intact journals and resumes
+// every unfinished sweep, the store answers the points it holds, and
+// journaled points force that lookup for NoCache sweeps — so nothing
+// stored re-simulates.
 //
 // The on-disk unit is a framed record: a 4-byte little-endian payload
 // length, a 4-byte little-endian CRC-32 (IEEE) of the payload, then

@@ -162,6 +162,83 @@ func TestSweepRestartResume(t *testing.T) {
 	}
 }
 
+// TestSweepJournalSkipsStoredPoints: a cache-enabled sweep journals
+// its admission and terminal status but no point records — on resume
+// the coordinator looks every point up in the store anyway.
+func TestSweepJournalSkipsStoredPoints(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, jd, shutdown := newJournalServer(t, dir, 2)
+	st, resp := postSweep(t, ts, sweepBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	if final := waitSweepDone(t, ts, st.ID); final.State != jobs.StateDone {
+		t.Fatalf("sweep: %+v", final)
+	}
+	// Shutdown waits for the sweep's terminal journal record.
+	shutdown()
+	sweeps, err := jd.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweeps) != 1 || sweeps[0].Admit.ID != st.ID {
+		t.Fatalf("replayed %d journals, want only %s's", len(sweeps), st.ID)
+	}
+	sw := sweeps[0]
+	if sw.Status == nil || sw.Status.State != string(jobs.StateDone) {
+		t.Fatalf("terminal record = %+v, want done", sw.Status)
+	}
+	if len(sw.Points) != 0 {
+		t.Fatalf("journal holds %d point records, want 0", len(sw.Points))
+	}
+}
+
+// TestSweepRestartResumeNoCache is the restart drill for a no_cache
+// sweep, which skips the store lookup: its journaled points are what
+// make the resumed sweep serve them from the store rather than
+// simulate them again.
+func TestSweepRestartResumeNoCache(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1, _, shutdown1 := newJournalServer(t, dir, 1)
+	body := `{
+		"base": {"instructions": 8000000, "speculation": true},
+		"axes": {"benchmarks": ["fft"], "meta": {"points": ["16KB", "32KB", "64KB", "128KB"]}},
+		"no_cache": true
+	}`
+	st, resp := postSweep(t, ts1, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	id, total := st.ID, st.Total
+	deadline := time.Now().Add(30 * time.Second)
+	var done1 int
+	for done1 < 1 && time.Now().Before(deadline) {
+		var cur SweepStatus
+		getJSON(t, ts1, "/v1/sweeps/"+id, &cur)
+		done1 = cur.Done
+		time.Sleep(5 * time.Millisecond)
+	}
+	if done1 < 1 {
+		t.Fatal("sweep made no progress before shutdown")
+	}
+	shutdown1()
+
+	s2, ts2, _, _ := newJournalServer(t, dir, 2)
+	if s2.SweepsRecovered() != 1 {
+		t.Fatalf("SweepsRecovered = %d, want 1", s2.SweepsRecovered())
+	}
+	final := waitSweepDone(t, ts2, id)
+	if final.State != jobs.StateDone || final.Done != total {
+		t.Fatalf("recovered sweep: %+v", final)
+	}
+	if final.Deduped < done1 {
+		t.Fatalf("Deduped = %d, want >= %d recovered points", final.Deduped, done1)
+	}
+	if got := s2.PoolStats().Submitted; got != uint64(total-final.Deduped) {
+		t.Fatalf("restart daemon simulated %d points, want %d", got, total-final.Deduped)
+	}
+}
+
 // TestSweepRecoveryQuarantinesDriftedGrid plants a journal whose
 // admission no longer matches what its spec expands to; startup must
 // quarantine it rather than resume against the wrong grid.

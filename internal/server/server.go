@@ -408,9 +408,7 @@ func (s *Server) ShedCount() uint64 { return s.shed.Load() }
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -881,11 +879,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	if s.journal != nil {
 		js := s.journal.Stats()
-		fmt.Fprintf(w, "# HELP mapsd_journal_appends_total Sweep journal records durably appended.\n")
+		fmt.Fprintf(w, "# HELP mapsd_journal_appends_total Sweep journal records durably appended: admissions, terminal statuses, and NoCache sweeps' points.\n")
 		fmt.Fprintf(w, "# TYPE mapsd_journal_appends_total counter\nmapsd_journal_appends_total %d\n", js.Appends)
 		fmt.Fprintf(w, "# HELP mapsd_journal_dropped_appends_total Journal records lost to write errors or faults; each costs recovery fidelity, never availability.\n")
 		fmt.Fprintf(w, "# TYPE mapsd_journal_dropped_appends_total counter\nmapsd_journal_dropped_appends_total %d\n", js.DroppedAppends)
 		fmt.Fprintf(w, "# TYPE mapsd_journal_replayed_sweeps_total counter\nmapsd_journal_replayed_sweeps_total %d\n", js.ReplayedSweeps)
+		fmt.Fprintf(w, "# HELP mapsd_journal_recovered_points_total Completed points replayed from journals: NoCache sweeps' points and legacy point records.\n")
 		fmt.Fprintf(w, "# TYPE mapsd_journal_recovered_points_total counter\nmapsd_journal_recovered_points_total %d\n", js.RecoveredPoints)
 		fmt.Fprintf(w, "# HELP mapsd_journal_truncated_tails_total Torn journal tails healed in place during replay.\n")
 		fmt.Fprintf(w, "# TYPE mapsd_journal_truncated_tails_total counter\nmapsd_journal_truncated_tails_total %d\n", js.TruncatedTails)

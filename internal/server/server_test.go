@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,6 +100,30 @@ func TestSubmitStatusResultHappyPath(t *testing.T) {
 	}
 	if res.Run.Benchmark != "libquantum" || res.Run.Instructions == 0 || res.Run.MetaHitRate <= 0 {
 		t.Fatalf("implausible simulation result: %+v", res.Run)
+	}
+}
+
+// TestResponsesAreCompact: API replies are single-line JSON — the
+// encoding cost of indentation buys nothing a client decodes.
+func TestResponsesAreCompact(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	job, _ := postJob(t, ts, smallRun)
+	waitDone(t, ts, job.ID)
+	sw, _ := postSweep(t, ts, sweepBody)
+	waitSweepDone(t, ts, sw.ID)
+	for _, path := range []string{"/v1/jobs/" + job.ID, "/v1/sweeps/" + sw.ID + "/result"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		if n := bytes.Count(body, []byte("\n")); n != 1 || body[len(body)-1] != '\n' {
+			t.Fatalf("GET %s: body spans %d lines, want 1:\n%s", path, n, body)
+		}
 	}
 }
 

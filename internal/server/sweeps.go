@@ -286,7 +286,12 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 			}
 			j.mu.Unlock()
 			s.sweepPointsDone.Add(1)
-			s.journalPoint(j, pr)
+			// The store answers a cache-enabled sweep's finished points
+			// on resume, so only NoCache sweeps, which skip that lookup,
+			// journal them.
+			if spec.NoCache {
+				s.journalPoint(j, pr)
+			}
 		},
 	}
 	go func() {
@@ -364,9 +369,10 @@ func (s *Server) journalAdmit(id string, req SweepRequest, points []sweep.Point,
 	return nil
 }
 
-// journalPoint appends one completed point to the sweep's journal.
-// Append failures degrade to an unjournaled point — a crash would
-// re-dispatch it, and the store would answer — never a sweep failure.
+// journalPoint appends one completed point of a NoCache sweep to its
+// journal, so a resumed sweep forces the store lookup for it. Append
+// failures degrade to an unjournaled point — a crash would re-simulate
+// it — never a sweep failure.
 func (s *Server) journalPoint(j *sweepJob, pr sweep.PointResult) {
 	if j.wal == nil {
 		return

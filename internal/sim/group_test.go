@@ -289,7 +289,7 @@ func TestRunGroupPanicIsolated(t *testing.T) {
 	pool := jobs.New(1, 1)
 	defer pool.Shutdown(context.Background())
 	calls := 0
-	_, err := pool.Run(context.Background(), func(ctx context.Context) (any, error) {
+	_, err := pool.RunBatch(context.Background(), 1, func(ctx context.Context) (any, error) {
 		return RunGroup(ctx, []Config{
 			{Benchmark: "canneal", Instructions: testInstr, Secure: true},
 			{

@@ -315,7 +315,7 @@ func TestPipelinedPanicIsolated(t *testing.T) {
 	pool := jobs.New(1, 1)
 	defer pool.Shutdown(context.Background())
 	calls := 0
-	_, err := pool.Run(context.Background(), func(ctx context.Context) (any, error) {
+	_, err := pool.RunBatch(context.Background(), 1, func(ctx context.Context) (any, error) {
 		return RunContext(ctx, Config{
 			Benchmark: "canneal", Instructions: testInstr, Secure: true,
 			Meta: &metacache.Config{Size: 32 << 10, Ways: 8},

@@ -25,6 +25,13 @@ trap cleanup EXIT INT TERM
 echo "crash-drill: building mapsd..."
 go build -o "$WORK/mapsd" ./cmd/mapsd
 
+# field NAME: the value of the first "NAME" key in the JSON on stdin,
+# quotes stripped. mapsd replies are compact single-line JSON, so a
+# greedy line match would land on the last such key, not the first.
+field() {
+    grep -o "\"$1\": *\"\{0,1\}[^\",}]*" | head -1 | sed 's/^[^:]*: *"\{0,1\}//'
+}
+
 start_daemon() {
     "$WORK/mapsd" -addr "127.0.0.1:$PORT" -workers 1 \
         -journal-dir "$WORK/journal" -store-dir "$WORK/store" &
@@ -51,14 +58,14 @@ SUBMIT=$(curl -sf -X POST "$BASE/v1/sweeps" -H 'Content-Type: application/json' 
         "meta": {"points": ["16KB", "32KB", "64KB", "128KB"]}
     }
 }')
-ID=$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
+ID=$(printf '%s' "$SUBMIT" | field id)
 [ -n "$ID" ] || { echo "crash-drill: no sweep id in: $SUBMIT" >&2; exit 1; }
 echo "crash-drill: sweep $ID admitted"
 
 echo "crash-drill: waiting for at least 2 completed points..."
 i=0
 while :; do
-    DONE=$(curl -sf "$BASE/v1/sweeps/$ID" | sed -n 's/.*"done": *\([0-9]*\).*/\1/p')
+    DONE=$(curl -sf "$BASE/v1/sweeps/$ID" | field done)
     [ "${DONE:-0}" -ge 2 ] && break
     i=$((i + 1))
     if [ "$i" -gt 300 ]; then
@@ -91,7 +98,7 @@ echo "crash-drill: sweep $ID recovered — waiting for completion..."
 i=0
 while :; do
     STATUS=$(curl -sf "$BASE/v1/sweeps/$ID")
-    STATE=$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
+    STATE=$(printf '%s' "$STATUS" | field state)
     case "$STATE" in
         done) break ;;
         failed|canceled) echo "crash-drill: sweep ended $STATE: $STATUS" >&2; exit 1 ;;
@@ -103,7 +110,11 @@ while :; do
     fi
     sleep 0.1
 done
-DEDUPED=$(printf '%s' "$STATUS" | sed -n 's/.*"deduped": *\([0-9]*\).*/\1/p')
+DEDUPED=$(printf '%s' "$STATUS" | field deduped)
+if [ "${DEDUPED:-0}" -lt "$DONE" ]; then
+    echo "crash-drill: only ${DEDUPED:-0} of the $DONE points stored before the kill were served from the store" >&2
+    exit 1
+fi
 echo "crash-drill: sweep $ID completed; $DEDUPED points served from the store, none re-simulated"
 curl -sf "$BASE/metrics" | grep '^mapsd_journal\|^mapsd_sweeps_recovered' || true
 
