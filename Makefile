@@ -70,9 +70,11 @@ race:
 # streaming), the workload-spec parser (hand-rolled YAML fed by user
 # files and wire requests), the store's envelope decoder (fed by disk
 # files and peer responses), and the sweep journal's record decoder
-# (fed by crash-scrambled WAL files). The sixth is differential: it
-# holds the hierarchy's recency-ordered true-LRU level to cache.Cache
-# with policy.LRU on fuzzer-chosen geometries and access streams.
+# (fed by crash-scrambled WAL files). The last two are differential:
+# one holds the hierarchy's recency-ordered true-LRU level to
+# cache.Cache with policy.LRU on fuzzer-chosen geometries and access
+# streams, the other the engine's flat split-counter table to a
+# per-page map on fuzzer-chosen layouts and write streams.
 # Enough to catch regressions on malformed or adversarial input without
 # slowing the gate meaningfully. Fuzz corpus findings land in each
 # package's testdata.
@@ -83,6 +85,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeJournalRecord -fuzztime=10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s ./internal/hierarchy
+	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s ./internal/secmem/engine
 
 # Full benchmark pass: measure the access kernel and end-to-end runs,
 # then record the numbers into BENCH_kernel.json's current section.

@@ -1,6 +1,10 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/maps-sim/mapsim/internal/memlayout"
+)
 
 // TestReadWritebackZeroAllocs pins the secure engine's per-miss
 // metadata walk at zero heap allocations in steady state. The warmup
@@ -30,5 +34,27 @@ func TestReadWritebackZeroAllocs(t *testing.T) {
 		now += e.Writeback(now, next())
 	}); avg != 0 {
 		t.Errorf("Writeback allocates %v per call, want 0", avg)
+	}
+}
+
+// TestWritebackWrittenPageZeroAllocs pins the split-counter table: a
+// new engine holds no table, and once a page's counter block has been
+// written, further writebacks to the page allocate nothing — no
+// per-page object, no index growth.
+func TestWritebackWrittenPageZeroAllocs(t *testing.T) {
+	e, _ := newEngine(t, 32<<10, false)
+	if e.counters.index != nil || e.counters.chunks != nil {
+		t.Fatalf("New allocated a counter table: %d index slots, %d chunks", len(e.counters.index), len(e.counters.chunks))
+	}
+	pages := []uint64{9000, 3, 700, 12000, 41}
+	for _, p := range pages {
+		e.Writeback(0, p*memlayout.PageSize)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(500, func() {
+		i++
+		e.Writeback(0, pages[i%len(pages)]*memlayout.PageSize+uint64(i%64)*memlayout.BlockSize)
+	}); avg != 0 {
+		t.Errorf("Writeback to a written page allocates %v per call, want 0", avg)
 	}
 }

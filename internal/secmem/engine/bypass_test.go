@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/maps-sim/mapsim/internal/dram"
@@ -114,5 +115,24 @@ func TestWriteTrafficConservedAcrossContents(t *testing.T) {
 		if s.Mem.TreeWrites == 0 {
 			t.Errorf("%v: tree updates never reached memory", content)
 		}
+	}
+}
+
+// A dirty tree node displaced by a bypassed counter's parent update
+// must reach memory like any other dirty eviction: every dirty block
+// the cache gives up is one tree write, so tree writes can never fall
+// short of the cache's dirty evictions.
+func TestBypassedCounterUpdateDrainsEvictions(t *testing.T) {
+	layout := memlayout.MustNew(memlayout.PoisonIvy, 64<<20)
+	meta := metacache.MustNew(metacache.Config{Size: 512, Ways: 8, Content: metacache.TreeOnly})
+	e := MustNew(Config{Layout: layout, Meta: meta, DRAM: dram.MustNew(dram.Default())})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 4000; i++ {
+		e.Writeback(0, uint64(rng.Int63n(int64(layout.DataBytes()))))
+	}
+	e.Flush(0)
+	writes, evicts := e.Stats().Mem.TreeWrites, meta.CacheStats().DirtyEvicts
+	if writes < evicts {
+		t.Errorf("tree writes %d < dirty evictions %d: displaced tree nodes were dropped", writes, evicts)
 	}
 }

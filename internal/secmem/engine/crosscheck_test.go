@@ -40,7 +40,7 @@ func TestTimingMatchesFunctionalCounters(t *testing.T) {
 		functional.Memory().Read(cAddr, &raw)
 		want.Decode(&raw)
 
-		got := timing.counters[cAddr]
+		got := timing.counter(cAddr)
 		if got == nil {
 			t.Fatalf("timing engine never materialized counter %#x", cAddr)
 		}
@@ -74,7 +74,7 @@ func TestTimingMatchesFunctionalOverflow(t *testing.T) {
 	var want ctr.PIBlock
 	functional.Memory().Read(cAddr, &raw)
 	want.Decode(&raw)
-	got := timing.counters[cAddr]
+	got := timing.counter(cAddr)
 	if got.Major != want.Major || got.Minor != want.Minor {
 		t.Fatalf("after %d writes: timing major=%d minor0=%d, functional major=%d minor0=%d",
 			writes, got.Major, got.Minor[0], want.Major, want.Minor[0])

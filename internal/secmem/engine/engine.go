@@ -28,7 +28,6 @@ import (
 	"github.com/maps-sim/mapsim/internal/dram"
 	"github.com/maps-sim/mapsim/internal/memlayout"
 	"github.com/maps-sim/mapsim/internal/metacache"
-	"github.com/maps-sim/mapsim/internal/secmem/ctr"
 	"github.com/maps-sim/mapsim/internal/trace"
 )
 
@@ -109,8 +108,8 @@ type Engine struct {
 
 	// counters tracks per-block logical counter values so split-
 	// counter overflows (page re-encryptions) happen exactly when
-	// they would in hardware. Allocated lazily per counter block.
-	counters map[uint64]*ctr.PIBlock
+	// they would in hardware. SGX layouts never use it.
+	counters counterTable
 }
 
 // New builds an engine.
@@ -132,7 +131,7 @@ func New(cfg Config) (*Engine, error) {
 		layout:   cfg.Layout,
 		meta:     cfg.Meta,
 		dram:     cfg.DRAM,
-		counters: make(map[uint64]*ctr.PIBlock),
+		counters: counterTable{limit: int(cfg.Layout.CounterBlocks())},
 	}, nil
 }
 
@@ -228,7 +227,6 @@ func (e *Engine) Writeback(now uint64, dataAddr uint64) (latency uint64) {
 	// Counter increment: the counter block must be present (and
 	// verified) to re-encrypt.
 	cAddr := e.layout.CounterAddr(dataAddr)
-	slot := e.layout.CounterSlot(dataAddr)
 	switch {
 	case e.meta != nil && e.meta.Allows(memlayout.KindCounter):
 		cost := uint64(0)
@@ -255,7 +253,10 @@ func (e *Engine) Writeback(now uint64, dataAddr uint64) (latency uint64) {
 		e.stats.Mem.CounterWrites++
 		_, walkCost := e.verifyAncestors(now, cAddr)
 		e.tap(cAddr, memlayout.KindCounter, true, 2+walkCost)
+		// The parent update may displace a dirty tree node; drain it
+		// here, since no drain is running to pick it up.
 		e.updateParent(now, cAddr)
+		e.drainQueue(now)
 	default:
 		// No cache: read-modify-write the counter and update every
 		// tree level immediately.
@@ -274,7 +275,7 @@ func (e *Engine) Writeback(now uint64, dataAddr uint64) (latency uint64) {
 
 	// Advance the logical counter; a minor overflow re-encrypts the
 	// whole page (off the critical path but heavy on memory traffic).
-	if e.increment(cAddr, slot) {
+	if e.increment(dataAddr) {
 		e.stats.PageReencryptions++
 		e.reencryptPage(now, dataAddr)
 	}
@@ -428,10 +429,16 @@ func (e *Engine) drainEvictions(now uint64, evicted []metacache.Evicted) {
 	if len(evicted) == 0 {
 		return
 	}
+	e.evQueue = append(e.evQueue[:0], evicted...)
+	e.drainQueue(now)
+}
+
+// drainQueue handles every eviction in e.evQueue, including those
+// queued while handling earlier ones, and empties it.
+func (e *Engine) drainQueue(now uint64) {
 	// Consume via an index instead of re-slicing the front so the
 	// queue's capacity is reused across accesses (zero steady-state
 	// allocations); handleEviction may append while we drain.
-	e.evQueue = append(e.evQueue[:0], evicted...)
 	for head := 0; head < len(e.evQueue); head++ {
 		if head > 1<<20 {
 			panic("engine: eviction cascade did not terminate")
@@ -498,19 +505,16 @@ func (e *Engine) updateParent(now uint64, addr uint64) {
 	e.evQueue = append(e.evQueue, res.Evicted...)
 }
 
-// increment advances the logical counter for (counter block, slot)
-// and reports a minor-counter overflow. SGX-organization layouts use
-// 64-bit counters that never overflow.
-func (e *Engine) increment(cAddr uint64, slot int) bool {
+// increment advances the logical counter for the data block at
+// dataAddr and reports a minor-counter overflow. SGX-organization
+// layouts use 64-bit counters that never overflow.
+func (e *Engine) increment(dataAddr uint64) bool {
 	if e.layout.Organization() == memlayout.SGX {
 		return false
 	}
-	blk := e.counters[cAddr]
-	if blk == nil {
-		blk = &ctr.PIBlock{}
-		e.counters[cAddr] = blk
-	}
-	return blk.Increment(slot)
+	// A PoisonIvy counter block covers one page: the page number is
+	// the counter block's number.
+	return e.counters.block(dataAddr / memlayout.PageSize).Increment(e.layout.CounterSlot(dataAddr))
 }
 
 // reencryptPage models a split-counter overflow: every block of the

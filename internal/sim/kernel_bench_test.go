@@ -11,8 +11,9 @@ import (
 )
 
 // Kernel benchmarks: the numbers behind BENCH_kernel.json and the
-// make-check perf gate. `make bench` runs all of them but
-// BenchmarkFrontAccess, which is not gated, and records ns/op,
+// make-check perf gate. `make bench` runs all of them but the stage
+// benchmarks BenchmarkFrontAccess and BenchmarkBackConsume, which are
+// not gated, and records ns/op,
 // allocs/op, and simulated accesses per second; see
 // docs/PERFORMANCE.md for how to read and regenerate the file.
 //
@@ -87,6 +88,90 @@ func BenchmarkFrontAccess(b *testing.B) {
 				}
 				done += n
 			}
+		})
+	}
+}
+
+// backInstructions is the measured length of the run whose LLC events
+// BenchmarkBackConsume records: perfbench's simulation-phase length.
+const backInstructions = 2_000_000
+
+// recordEvents runs cfg's front stage alone — warmup, end-of-warmup
+// marker, measured window — exactly as runGroup does, and returns a
+// copy of every batch it emits and their total event count. cfg must
+// be filled.
+func recordEvents(b *testing.B, cfg *Config) (batches [][]event, events int) {
+	b.Helper()
+	cfg.Workload.Reset(cfg.Seed)
+	hier, err := hierarchy.New(cfg.Hierarchy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fr := &front{
+		ctx:     context.Background(),
+		gen:     cfg.Workload,
+		hier:    hier,
+		l2Lat:   cfg.L2HitLatency,
+		l3Lat:   cfg.L3HitLatency,
+		baseCPI: cfg.BaseCPI,
+		buf:     make([]event, batchLen),
+	}
+	fr.emit = func(evs []event) []event {
+		batches = append(batches, append([]event(nil), evs...))
+		events += len(evs)
+		return evs[:batchLen]
+	}
+	_, err = fr.run(cfg.Warmup)
+	if err == nil {
+		err = fr.endWarmup()
+	}
+	if err == nil {
+		_, err = fr.run(cfg.Instructions)
+	}
+	if err == nil {
+		err = fr.flush()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return batches, events
+}
+
+// BenchmarkBackConsume times the back stage — engine, metadata cache
+// and DRAM — per LLC event, apart from the front, on the three
+// perfbench workloads in RunSecure's configuration. A 2M-instruction
+// run's event batches are recorded once; each iteration then builds a
+// fresh back end with the timer stopped and times it consuming every
+// batch, so ns/event names the back stage and allocs/op counts what
+// one run's back stage allocates while it simulates.
+func BenchmarkBackConsume(b *testing.B) {
+	for _, bench := range []string{"canneal", "perlbench", "lbm"} {
+		b.Run(bench, func(b *testing.B) {
+			cfg := Config{
+				Benchmark:    bench,
+				Instructions: backInstructions,
+				Secure:       true,
+				Speculation:  true,
+				Meta:         &metacache.Config{Size: 64 << 10, Ways: 8},
+			}
+			if err := cfg.fill(); err != nil {
+				b.Fatal(err)
+			}
+			batches, events := recordEvents(b, &cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var bk back
+				if err := bk.build(&cfg, cfg.Workload.Footprint()); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, evs := range batches {
+					bk.consume(evs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 		})
 	}
 }
