@@ -573,7 +573,9 @@ func (c *Client) SweepResultRemote(ctx context.Context, id string) (*SweepResult
 
 // RunSweepRemote submits a sweep, streams progress through onUpdate
 // (which may be nil), and returns the completed result — the remote
-// analogue of fleet.RunLocal.
+// analogue of fleet.RunLocal. A sweep the daemon's store answers whole
+// is already done in the submit reply, which then is onUpdate's only
+// line and skips the progress stream.
 func (c *Client) RunSweepRemote(ctx context.Context, req SweepRequest, onUpdate func(SweepStatus)) (*SweepResult, error) {
 	st, err := c.Sweep(ctx, req)
 	if err != nil {
@@ -583,6 +585,8 @@ func (c *Client) RunSweepRemote(ctx context.Context, req SweepRequest, onUpdate 
 		if st, err = c.SweepProgress(ctx, st.ID, onUpdate); err != nil {
 			return nil, err
 		}
+	} else if onUpdate != nil {
+		onUpdate(st)
 	}
 	if st.State != JobDone {
 		return nil, fmt.Errorf("mapsim: sweep %s %s: %s", st.ID, st.State, st.Error)
@@ -593,9 +597,11 @@ func (c *Client) RunSweepRemote(ctx context.Context, req SweepRequest, onUpdate 
 // ResumeSweep reattaches to a sweep by ID — typically one submitted
 // before a daemon restart and recovered from its journal — streams
 // progress through onUpdate (which may be nil), and returns the
-// completed result. Sweep IDs are stable across restarts when the
-// daemon runs with -journal-dir, so the ID from the original
-// submission keeps working after a crash.
+// completed result. An unfinished sweep keeps its ID across restarts
+// when the daemon runs with -journal-dir, so the ID from the original
+// submission keeps working after a crash. A sweep that finished before
+// the restart is not reinstalled: its ID answers 404 (no later sweep
+// reuses it), and resubmitting its spec serves it from the store.
 func (c *Client) ResumeSweep(ctx context.Context, id string, onUpdate func(SweepStatus)) (*SweepResult, error) {
 	st, err := c.SweepProgress(ctx, id, onUpdate)
 	if err != nil {

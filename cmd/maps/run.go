@@ -10,10 +10,14 @@ import (
 
 	"github.com/maps-sim/mapsim"
 	"github.com/maps-sim/mapsim/internal/cliutil"
-	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/sim"
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
 )
+
+// defaultMetaSize is the metadata-cache capacity `maps run` simulates
+// when -ways or -content is given without -meta: the 64 KB cache the
+// paper's single-size figures use.
+const defaultMetaSize = 64 << 10
 
 // runRunCmd implements the `maps run` verb: one simulation of a named
 // benchmark, a declarative workload spec, or a recorded trace, run
@@ -26,7 +30,7 @@ func runRunCmd(args []string) int {
 	instructions := fs.Uint64("instructions", 2_000_000, "simulated instructions")
 	seed := fs.Int64("seed", 0, "workload seed")
 	secure := fs.Bool("secure", true, "enable secure memory (counters, hashes, integrity tree)")
-	metaSize := fs.String("meta", "", "metadata-cache size (e.g. 128KB); empty = Table I default")
+	metaSize := fs.String("meta", "", "metadata-cache size (e.g. 128KB); empty = no metadata cache, or 64KB when -ways or -content is set")
 	metaWays := fs.Int("ways", 0, "metadata-cache associativity (0 = default)")
 	metaContent := fs.String("content", "", "metadata-cache content policy (counters, counters+hashes, all, ...)")
 	asJSON := fs.Bool("json", false, "emit the full Result JSON instead of a summary")
@@ -79,9 +83,16 @@ flags:
 		}
 	}
 
-	var meta *metacache.Config
+	cs := mapsim.ConfigSpec{
+		Benchmark:    *bench,
+		Workload:     spec,
+		Instructions: *instructions,
+		Seed:         *seed,
+		Secure:       secure,
+		Speculation:  *secure,
+	}
 	if *metaSize != "" || *metaWays != 0 || *metaContent != "" {
-		size := 0
+		size := defaultMetaSize
 		if *metaSize != "" {
 			var err error
 			if size, err = cliutil.ParseSize(*metaSize); err != nil {
@@ -89,30 +100,29 @@ flags:
 				return 2
 			}
 		}
-		content, err := metacache.ParseContent(*metaContent)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "maps run: -content: %v\n", err)
-			return 2
-		}
-		meta = &metacache.Config{Size: size, Ways: *metaWays, Content: content}
+		cs.Meta = &mapsim.MetaSpec{Size: mapsim.ByteSize(size), Ways: *metaWays, Content: *metaContent}
+	}
+	// The wire spec is the one description of the run, local or remote:
+	// ToSim validates it and fills its defaults (Table I's 8 ways) the
+	// way the daemon does.
+	cfg, err := cs.ToSim()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "maps run: %v\n", err)
+		return 2
 	}
 
 	start := time.Now()
 	var res *mapsim.Result
-	var err error
 	if *remote != "" {
-		res, err = runRemoteOnce(*remote, spec, *bench, *traceFile, *instructions, *seed, *secure, *metaSize, *metaWays, *metaContent)
-	} else {
-		cfg := sim.Config{
-			Benchmark:    *bench,
-			WorkloadSpec: spec,
-			TracePath:    *traceFile,
-			Instructions: *instructions,
-			Seed:         *seed,
-			Secure:       *secure,
-			Speculation:  *secure,
-			Meta:         meta,
+		// Traces cannot travel: they are files on this machine, outside
+		// the canonical config encoding the daemon dedupes on.
+		if *traceFile != "" {
+			fmt.Fprintln(os.Stderr, "maps run: -trace is machine-local and cannot run via -remote; replay it locally")
+			return 2
 		}
+		res, err = mapsim.NewClient(*remote).RunRemote(context.Background(), cs)
+	} else {
+		cfg.TracePath = *traceFile
 		res, err = mapsim.Run(cfg)
 	}
 	if err != nil {
@@ -146,32 +156,4 @@ flags:
 	}
 	fmt.Fprintf(os.Stderr, "[run completed in %v]\n", time.Since(start).Round(time.Millisecond))
 	return 0
-}
-
-// runRemoteOnce ships a single run to a mapsd daemon. Traces cannot
-// travel: they are files on this machine, outside the canonical
-// config encoding the daemon dedupes on.
-func runRemoteOnce(baseURL string, spec *wspec.Spec, bench, tracePath string, instructions uint64, seed int64, secure bool, metaSize string, metaWays int, metaContent string) (*mapsim.Result, error) {
-	if tracePath != "" {
-		return nil, fmt.Errorf("-trace is machine-local and cannot run via -remote; replay it locally")
-	}
-	cs := mapsim.ConfigSpec{
-		Benchmark:    bench,
-		Workload:     spec,
-		Instructions: instructions,
-		Seed:         seed,
-		Secure:       &secure,
-		Speculation:  secure,
-	}
-	if metaSize != "" || metaWays != 0 || metaContent != "" {
-		size := 0
-		if metaSize != "" {
-			var err error
-			if size, err = cliutil.ParseSize(metaSize); err != nil {
-				return nil, fmt.Errorf("-meta: %w", err)
-			}
-		}
-		cs.Meta = &mapsim.MetaSpec{Size: mapsim.ByteSize(size), Ways: metaWays, Content: metaContent}
-	}
-	return mapsim.NewClient(baseURL).RunRemote(context.Background(), cs)
 }

@@ -109,3 +109,34 @@ func TestRunFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMetaDefaults: a local run given only some metadata-cache
+// flags gets the same defaults a daemon run does — Table I's 8 ways,
+// and a 64KB cache when -meta is absent — instead of failing on an
+// unset associativity.
+func TestRunMetaDefaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildMaps(t)
+	specPath := filepath.Join(t.TempDir(), "mixed.yaml")
+	if err := os.WriteFile(specPath, []byte(testSpecYAML), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := [][]string{
+		{"run", "-bench", "lbm", "-meta", "64KB"},
+		{"run", "-bench", "lbm", "-content", "all"},
+		{"run", "-workload-spec", specPath, "-meta", "128KB", "-json"},
+	}
+	for _, args := range cases {
+		args = append(args, "-instructions", "100000")
+		stdout, stderr, err := runMaps(t, bin, args...)
+		if err != nil {
+			t.Errorf("maps %s: %v\n%s", strings.Join(args, " "), err, stderr)
+			continue
+		}
+		if !strings.Contains(stdout, "meta hit rate") && !strings.Contains(stdout, `"meta": {`) {
+			t.Errorf("maps %s simulated no metadata cache:\n%s", strings.Join(args, " "), stdout)
+		}
+	}
+}

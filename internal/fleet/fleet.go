@@ -125,7 +125,7 @@ type Coordinator struct {
 	// Workers is the fleet; at least one is required.
 	Workers []Worker
 	// Cache, when set, dedupes points against previously computed
-	// results (by results.PointKeyFor) and stores fresh ones —
+	// results (by sweep.PointKey) and stores fresh ones —
 	// the fleet's exactly-once layer.
 	Cache Cache
 	// Completed pre-marks grid indices already finished by an earlier
@@ -136,6 +136,16 @@ type Coordinator struct {
 	// normal dispatch. Set this only on a Coordinator built for one
 	// recovered sweep.
 	Completed map[int]bool
+	// Keys, when set, holds every grid point's sweep.PointKey key in
+	// grid order ("" for a point that cannot be keyed), so the
+	// pre-pass keys nothing itself. Set this only on a Coordinator
+	// built for one sweep.
+	Keys []results.Key
+	// Hits holds the Cache's answers for a grid-order prefix of the
+	// points that the caller has already looked up, nil for a miss;
+	// the pre-pass looks none of them up again. Like Keys, it belongs
+	// to one sweep.
+	Hits []*sim.Result
 	// OnPoint, when set, observes every completed point in completion
 	// order; calls are serialized.
 	OnPoint func(sweep.PointResult)
@@ -364,19 +374,27 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 
 // lookup computes the point's content address and consults the cache.
 // It returns the key (for the post-run Put) and a non-nil result on a
-// dedupe hit. The key mapping is sweep.CacheNames', so sweep points
-// and plain run jobs dedupe against each other; a point whose config
-// cannot be canonicalized sweeps uncached. force consults the cache
-// even under NoCache — the recovered-point path, where the store is
-// the completed point's only surviving copy.
+// dedupe hit. The key is sweep.PointKey's, so sweep points and plain
+// run jobs dedupe against each other; a point whose config
+// cannot be canonicalized sweeps uncached. Keys and Hits supply what
+// the caller already computed. force consults the cache even under
+// NoCache — the recovered-point path, where the store is the completed
+// point's only surviving copy.
 func (c *Coordinator) lookup(ctx context.Context, spec sweep.Spec, p sweep.Point, force bool) (results.Key, *sim.Result) {
 	if c.Cache == nil {
 		return "", nil
 	}
-	pol, part := sweep.CacheNames(p)
-	key, err := results.PointKeyFor(p.Config, pol, part)
-	if err != nil {
+	var key results.Key
+	if c.Keys != nil {
+		key = c.Keys[p.Index]
+	} else {
+		key, _ = sweep.PointKey(p)
+	}
+	if key == "" {
 		return "", nil
+	}
+	if p.Index < len(c.Hits) {
+		return key, c.Hits[p.Index]
 	}
 	if spec.NoCache && !force {
 		return key, nil

@@ -96,6 +96,7 @@ type countingCache struct {
 	mu   sync.Mutex
 	m    map[results.Key]any
 	puts map[results.Key]int
+	gets int
 }
 
 func newCountingCache() *countingCache {
@@ -105,6 +106,7 @@ func newCountingCache() *countingCache {
 func (c *countingCache) Get(_ context.Context, key results.Key) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gets++
 	v, ok := c.m[key]
 	return v, ok
 }
@@ -420,6 +422,51 @@ func TestCachePrepassDedupesEverything(t *testing.T) {
 		if !res.Points[i].Cached || res.Points[i].Worker != "" {
 			t.Fatalf("point %d: Cached=%v Worker=%q, want cached with no worker", i, res.Points[i].Cached, res.Points[i].Worker)
 		}
+	}
+}
+
+// TestPrepassTakesCallerLookups: Keys and Hits replace the pre-pass's
+// own keying and lookups for the prefix the caller already looked up —
+// a caller-reported miss dispatches even if the cache now holds the
+// point — and the rest of the grid is looked up once.
+func TestPrepassTakesCallerLookups(t *testing.T) {
+	spec := testSpec(true)
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newCountingCache()
+	keys := make([]results.Key, len(points))
+	for i, p := range points {
+		pol, part := sweep.CacheNames(p)
+		if keys[i], err = results.PointKeyFor(p.Config, pol, part); err != nil {
+			t.Fatal(err)
+		}
+		cache.m[keys[i]] = &sim.Result{Benchmark: p.Benchmark, IPC: 42}
+	}
+	hits := []*sim.Result{{Benchmark: points[0].Benchmark, IPC: 1}, {Benchmark: points[1].Benchmark, IPC: 2}, nil}
+	runner := newFakeRunner("w", 0)
+	c := &Coordinator{
+		Workers: []Worker{{Runner: runner, MaxInflight: 2}},
+		Cache:   cache,
+		Keys:    keys,
+		Hits:    hits,
+	}
+	res, err := c.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Points[0].Result != hits[0] || res.Points[1].Result != hits[1] {
+		t.Fatal("pre-pass did not serve the caller's hits")
+	}
+	if got := runner.ranPoints(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("dispatched %v, want only the caller's miss, point 2", got)
+	}
+	if cache.gets != len(points)-len(hits) {
+		t.Fatalf("%d cache lookups, want %d: none for the caller's prefix", cache.gets, len(points)-len(hits))
+	}
+	if res.Deduped != len(points)-1 {
+		t.Fatalf("deduped %d, want %d", res.Deduped, len(points)-1)
 	}
 }
 

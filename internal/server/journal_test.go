@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +80,13 @@ func sanitizeResult(t *testing.T, res *sweep.Result) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// seededSweepBody is sweepBody with its base seed set, so each seed
+// names a grid of points no other seed shares in the store.
+func seededSweepBody(seed int) string {
+	return strings.Replace(sweepBody, `"instructions": 20000`,
+		fmt.Sprintf(`"instructions": 20000, "seed": %d`, seed), 1)
 }
 
 // TestSweepRestartResume is the in-process restart drill: stop a
@@ -159,6 +168,39 @@ func TestSweepRestartResume(t *testing.T) {
 	getJSON(t, ts3, "/v1/sweeps/"+ref.ID+"/result", &refRes)
 	if got, want := sanitizeResult(t, &res), sanitizeResult(t, &refRes); string(got) != string(want) {
 		t.Fatalf("recovered result differs from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSweepIDsUniqueAcrossRestart: recovery removes a finished sweep's
+// journal, so nothing durable remembers its ID; a restarted daemon must
+// still never hand that ID to another sweep, or a client holding it
+// would be served the other sweep's result.
+func TestSweepIDsUniqueAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1, _, shutdown1 := newJournalServer(t, dir, 2)
+	old, _ := postSweep(t, ts1, sweepBody)
+	if final := waitSweepDone(t, ts1, old.ID); final.State != jobs.StateDone {
+		t.Fatalf("first sweep: %+v", final)
+	}
+	shutdown1()
+
+	_, ts2, _, _ := newJournalServer(t, dir, 2)
+	other := strings.Replace(sweepBody, `"benchmarks": ["fft"]`, `"benchmarks": ["lbm"]`, 1)
+	st, resp := postSweep(t, ts2, other)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after restart: %d", resp.StatusCode)
+	}
+	if st.ID == old.ID {
+		t.Fatalf("sweep after restart reused finished sweep's ID %q", old.ID)
+	}
+	waitSweepDone(t, ts2, st.ID)
+	r, err := http.Get(ts2.URL + "/v1/sweeps/" + old.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("finished sweep's old ID answered %d after restart, want 404", r.StatusCode)
 	}
 }
 
@@ -298,9 +340,11 @@ func TestSweepEviction(t *testing.T) {
 		s.Shutdown(ctx)
 	})
 
+	// Distinct seeds keep every sweep cold: a resubmitted sweep the
+	// store answers whole is born done and writes no journal.
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, _ := postSweep(t, ts, sweepBody)
+		st, _ := postSweep(t, ts, seededSweepBody(i+1))
 		waitSweepDone(t, ts, st.ID)
 		ids = append(ids, st.ID)
 	}

@@ -16,21 +16,31 @@ import (
 	"github.com/maps-sim/mapsim/internal/sweep"
 )
 
+// pointKeys keys every point in grid order (sweep.PointKey), "" for a
+// point that cannot be keyed. A sweep keys its grid once: the grid hash, the store
+// lookups, the coordinator and the journal's point records share it.
+func pointKeys(points []sweep.Point) []results.Key {
+	keys := make([]results.Key, len(points))
+	for i, p := range points {
+		keys[i], _ = sweep.PointKey(p)
+	}
+	return keys
+}
+
 // sweepGridHash canonically fingerprints an expanded sweep grid: the
-// sha256 over every point's result-store key, in grid order. A journal
-// whose recorded hash no longer matches the grid re-expanded from its
-// spec was written by a build with different expansion or keying
-// semantics — resuming it would silently mix incompatible points, so
-// replay quarantines it instead.
-func sweepGridHash(points []sweep.Point) string {
+// sha256 over every point's result-store key (pointKeys), in grid
+// order. A journal whose recorded hash no longer matches the grid
+// re-expanded from its spec was written by a build with different
+// expansion or keying semantics — resuming it would silently mix
+// incompatible points, so replay quarantines it instead.
+func sweepGridHash(points []sweep.Point, keys []results.Key) string {
 	h := sha256.New()
-	for _, p := range points {
-		pol, part := sweep.CacheNames(p)
-		key, err := results.PointKeyFor(p.Config, pol, part)
-		if err != nil {
+	for i, key := range keys {
+		if key == "" {
 			// Unkeyable points still contribute deterministically so
 			// the hash stays order- and content-sensitive.
-			key = results.Key(fmt.Sprintf("!%d:%v", p.Index, err))
+			_, err := sweep.PointKey(points[i])
+			key = results.Key(fmt.Sprintf("!%d:%v", points[i].Index, err))
 		}
 		h.Write([]byte(key))
 		h.Write([]byte{'\n'})
@@ -86,19 +96,20 @@ func (s *Server) resumeSweep(sw *journal.Sweep) {
 			sw.Admit.Total, len(points)))
 		return
 	}
-	if got := sweepGridHash(points); got != sw.Admit.GridHash {
+	keys := pointKeys(points)
+	if got := sweepGridHash(points, keys); got != sw.Admit.GridHash {
 		s.journal.Quarantine(id, fmt.Errorf("grid hash drifted: journal %s, expansion %s",
 			sw.Admit.GridHash, got))
 		return
 	}
-	s.installRecovered(id, sw, spec, req, points)
+	s.installRecovered(id, sw, spec, req, points, keys)
 }
 
 // installRecovered registers a validated recovered sweep under its
 // original ID and restarts its coordinator with the journaled point
 // completions pre-marked, so the store answers them without
 // re-simulation.
-func (s *Server) installRecovered(id string, sw *journal.Sweep, spec sweep.Spec, req SweepRequest, points []sweep.Point) {
+func (s *Server) installRecovered(id string, sw *journal.Sweep, spec sweep.Spec, req SweepRequest, points []sweep.Point, keys []results.Key) {
 	completed := make(map[int]bool, len(sw.Points))
 	for _, p := range sw.Points {
 		if p.Index >= 0 && p.Index < len(points) {
@@ -114,7 +125,7 @@ func (s *Server) installRecovered(id string, sw *journal.Sweep, spec sweep.Spec,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &sweepJob{id: id, cancel: cancel, done: make(chan struct{}), wal: wal}
+	j := &sweepJob{id: id, keys: keys, cancel: cancel, done: make(chan struct{}), wal: wal}
 	j.status = SweepStatus{
 		ID:      id,
 		State:   jobs.StateRunning,
@@ -132,7 +143,7 @@ func (s *Server) installRecovered(id string, sw *journal.Sweep, spec sweep.Spec,
 	s.sweepPointsPlanned.Add(uint64(len(points)))
 
 	s.startSweep(ctx, cancel, j, spec, req.Parallelism,
-		time.Duration(req.TimeoutSec*float64(time.Second)), completed)
+		time.Duration(req.TimeoutSec*float64(time.Second)), completed, nil)
 
 	s.log.Info("sweep recovered from journal",
 		"sweep", id,
@@ -142,7 +153,7 @@ func (s *Server) installRecovered(id string, sw *journal.Sweep, spec sweep.Spec,
 }
 
 // sweepSeqOf extracts the numeric suffix of a server-allocated sweep
-// ID ("s-%08d"). Recovery seeds the ID allocator past every recovered
+// ID ("s-%08d"). Recovery moves the ID allocator past every recovered
 // sweep so fresh submissions never collide with resumed ones.
 func sweepSeqOf(id string) (uint64, bool) {
 	rest, ok := strings.CutPrefix(id, "s-")

@@ -111,11 +111,13 @@ type Config struct {
 	// one worker after this long to another (default 30s; negative
 	// disables straggler re-issue).
 	FleetStragglerAfter time.Duration
-	// Journal, when set, write-ahead-logs every sweep (admission,
-	// per-point completions, terminal status — see internal/journal):
-	// New replays it, resuming unfinished sweeps under their original
-	// IDs with already-completed points served from the result store,
-	// so clients reattach to GET /v1/sweeps/{id} across restarts. Nil
+	// Journal, when set, write-ahead-logs every sweep with a point to
+	// simulate (admission, no_cache sweeps' per-point completions,
+	// terminal status — see internal/journal); a sweep the store
+	// answers whole is done at submit and writes none. New replays it,
+	// resuming unfinished sweeps under their original IDs with
+	// already-completed points served from the result store, so
+	// clients reattach to GET /v1/sweeps/{id} across restarts. Nil
 	// disables journaling. Wired from cmd/mapsd -journal-dir.
 	Journal *journal.Dir
 	// SweepTTL evicts finished sweeps from the registry — and removes
@@ -198,7 +200,8 @@ type Server struct {
 
 	// Sweep registry (see sweeps.go): coordinators run in their own
 	// goroutines and shard points into the pool. journal, when
-	// non-nil, write-ahead-logs every sweep; sweepTTL and maxSweeps
+	// non-nil, write-ahead-logs every sweep that has a point to
+	// simulate; sweepTTL and maxSweeps
 	// bound the registry (evictSweeps).
 	sweeps    map[string]*sweepJob
 	sweepSeq  uint64
@@ -277,6 +280,12 @@ func New(cfg Config) *Server {
 		stragglerAfter: cfg.FleetStragglerAfter,
 		fleetMetrics:   &fleet.Metrics{},
 	}
+	// Sweep IDs count up from the wall clock in microseconds, so a
+	// restarted daemon never reissues the ID of a sweep that finished
+	// before it: recovery deletes finished sweeps' journals, and a
+	// born-done sweep never writes one. Recovered IDs only move the
+	// counter forward.
+	s.sweepSeq = uint64(s.started.UnixMicro())
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
@@ -860,7 +869,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	sweepsRunning := 0
 	for _, j := range s.sweeps {
-		if !j.snapshot().State.Terminal() {
+		if state, _ := j.finishState(); !state.Terminal() {
 			sweepsRunning++
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -15,6 +15,7 @@ import (
 	"github.com/maps-sim/mapsim/internal/jobs"
 	"github.com/maps-sim/mapsim/internal/journal"
 	"github.com/maps-sim/mapsim/internal/results"
+	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/sweep"
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
 )
@@ -112,7 +113,7 @@ type SweepStatus struct {
 	ID string `json:"id"`
 	// State is queued/running/done/failed/canceled (sweeps skip
 	// queued: they start coordinating immediately and wait for pool
-	// slots per point).
+	// slots per point; one the store answers whole is done at submit).
 	State jobs.State `json:"state"`
 	// Total, Done, and Deduped count grid points: planned, completed,
 	// and served from the results cache without simulating.
@@ -136,6 +137,9 @@ type SweepStatus struct {
 type sweepJob struct {
 	// id is the sweep's stable identifier, immutable after creation.
 	id string
+	// keys holds every grid point's store key in grid order (pointKeys),
+	// immutable after creation.
+	keys []results.Key
 	// wal is the sweep's write-ahead journal; nil when journaling is
 	// off or its admission failed (the sweep then runs fine but will
 	// not survive a restart).
@@ -161,6 +165,14 @@ func (j *sweepJob) snapshot() SweepStatus {
 		}
 	}
 	return st
+}
+
+// finishState reads the sweep's state and finish time under its lock,
+// without snapshot's copy of the per-worker map.
+func (j *sweepJob) finishState() (jobs.State, time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status.State, j.status.Finished
 }
 
 // registerSweepRoutes mounts the sweep endpoints on the API mux.
@@ -226,21 +238,85 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		Total:   len(points),
 		Created: time.Now(),
 	}
+	j.keys = pointKeys(points)
+	var hits []*sim.Result
+	stored := false
+	if !spec.NoCache {
+		hits, stored = s.lookupStored(ctx, j.keys)
+	}
 	s.mu.Lock()
 	s.sweepSeq++
 	id := fmt.Sprintf("s-%08d", s.sweepSeq)
+	s.mu.Unlock()
 	j.id = id
 	j.status.ID = id
-	s.sweeps[id] = j
-	s.mu.Unlock()
 	s.sweepsStarted.Add(1)
 	s.sweepPointsPlanned.Add(uint64(len(points)))
-	j.wal = s.journalAdmit(id, req, points, j.status.Created)
-
-	s.startSweep(ctx, cancel, j, spec, req.Parallelism,
-		time.Duration(req.TimeoutSec*float64(time.Second)), nil)
+	if stored {
+		s.finishStored(j, points, hits)
+		cancel()
+	} else {
+		j.wal = s.journalAdmit(id, req, points, j.keys, j.status.Created)
+	}
+	s.mu.Lock()
+	s.sweeps[id] = j
+	s.mu.Unlock()
+	if !stored {
+		s.startSweep(ctx, cancel, j, spec, req.Parallelism,
+			time.Duration(req.TimeoutSec*float64(time.Second)), nil, hits)
+	}
 
 	writeJSON(w, http.StatusAccepted, j.snapshot())
+}
+
+// lookupStored looks the sweep's points up in the store in grid order
+// and stops at the first point it cannot serve. hits holds the answers,
+// ending in nil at a miss; an unkeyable point ends it without a lookup.
+// all reports that the store holds every point.
+func (s *Server) lookupStored(ctx context.Context, keys []results.Key) (hits []*sim.Result, all bool) {
+	hits = make([]*sim.Result, 0, len(keys))
+	for _, key := range keys {
+		if key == "" {
+			return hits, false
+		}
+		v, _ := s.store.Get(ctx, key)
+		res, _ := v.(*sim.Result)
+		hits = append(hits, res)
+		if res == nil {
+			return hits, false
+		}
+	}
+	return hits, true
+}
+
+// finishStored completes a sweep whose every point the store holds
+// without running it: no journal, no coordinator, no pool slot. It is
+// born done, with the result fleet.Coordinator.Run would build for it
+// and the same counters. A crash loses nothing, since recovery never
+// reinstalls a finished sweep; the store flush keeps the promise that
+// a done sweep's points are on disk.
+func (s *Server) finishStored(j *sweepJob, points []sweep.Point, hits []*sim.Result) {
+	n := len(points)
+	res := &sweep.Result{
+		Points:  make([]sweep.PointResult, n),
+		Total:   n,
+		Done:    n,
+		Deduped: n,
+	}
+	for i, p := range points {
+		res.Points[i] = sweep.PointResult{Point: p, Result: hits[i], Cached: true}
+	}
+	res.Wall = time.Since(j.status.Created)
+	res.Aggregate()
+	s.flushStore(j.id)
+	j.result = res
+	j.status.State = jobs.StateDone
+	j.status.Done = n
+	j.status.Deduped = n
+	j.status.Finished = time.Now()
+	close(j.done)
+	s.sweepPointsDeduped.Add(uint64(n))
+	s.sweepPointsDone.Add(uint64(n))
 }
 
 // startSweep builds the sweep's fleet coordinator and runs it in its
@@ -250,9 +326,10 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // parallelism), registered remotes are the rest; with no remotes the
 // sweep runs exactly as fleet.RunLocal would run it, plus the store's
 // dedupe. completed pre-marks journal-recovered points (nil for fresh
-// sweeps).
+// sweeps); hits carries the store answers the submit handler already
+// has (lookupStored), so no point is looked up twice.
 func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *sweepJob,
-	spec sweep.Spec, parallelism int, timeout time.Duration, completed map[int]bool) {
+	spec sweep.Spec, parallelism int, timeout time.Duration, completed map[int]bool, hits []*sim.Result) {
 	if parallelism <= 0 {
 		parallelism = s.pool.Stats().Workers
 	}
@@ -266,6 +343,8 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 		Workers:        workers,
 		Cache:          s.store,
 		Completed:      completed,
+		Keys:           j.keys,
+		Hits:           hits,
 		Timeout:        timeout,
 		StragglerAfter: s.stragglerAfter,
 		Metrics:        s.fleetMetrics,
@@ -347,7 +426,7 @@ func (s *Server) flushStore(sweepID string) {
 // journalAdmit opens the sweep's write-ahead log and records its
 // admission. A nil return means journaling is off or degraded — the
 // sweep runs fine but will not survive a restart (logged at Warn).
-func (s *Server) journalAdmit(id string, req SweepRequest, points []sweep.Point, created time.Time) *journal.Writer {
+func (s *Server) journalAdmit(id string, req SweepRequest, points []sweep.Point, keys []results.Key, created time.Time) *journal.Writer {
 	if s.journal == nil {
 		return nil
 	}
@@ -358,7 +437,7 @@ func (s *Server) journalAdmit(id string, req SweepRequest, points []sweep.Point,
 			ID:       id,
 			Created:  created.UTC(),
 			Total:    len(points),
-			GridHash: sweepGridHash(points),
+			GridHash: sweepGridHash(points, keys),
 			Spec:     spec,
 		}); err == nil {
 			return w
@@ -377,11 +456,9 @@ func (s *Server) journalPoint(j *sweepJob, pr sweep.PointResult) {
 	if j.wal == nil {
 		return
 	}
-	pol, part := sweep.CacheNames(pr.Point)
-	key, _ := results.PointKeyFor(pr.Point.Config, pol, part)
 	if err := j.wal.Point(journal.Point{
 		Index:  pr.Point.Index,
-		Key:    string(key),
+		Key:    string(j.keys[pr.Point.Index]),
 		Worker: pr.Worker,
 		Cached: pr.Cached,
 	}); err != nil {
@@ -395,36 +472,46 @@ func (s *Server) journalPoint(j *sweepJob, pr sweep.PointResult) {
 // past the registry cap. Running sweeps are never evicted. A sweep's
 // journal goes with its registry entry — by then its points live in
 // the result store, so nothing irreplaceable is lost. Called
-// opportunistically on submissions and /metrics scrapes.
+// opportunistically on submissions and /metrics scrapes; only a
+// registry over its cap pays for sorting by finish time.
 func (s *Server) evictSweeps(now time.Time) {
 	if s.sweepTTL <= 0 && s.maxSweeps <= 0 {
 		return
 	}
-	type cand struct {
-		id       string
-		finished time.Time
+	expired := func(finished time.Time) bool {
+		return s.sweepTTL > 0 && now.Sub(finished) > s.sweepTTL
 	}
 	s.mu.Lock()
-	var terminal []cand
-	for id, j := range s.sweeps {
-		if st := j.snapshot(); st.State.Terminal() {
-			terminal = append(terminal, cand{id, st.Finished})
-		}
-	}
-	sort.Slice(terminal, func(i, k int) bool {
-		return terminal[i].finished.Before(terminal[k].finished)
-	})
-	keep := len(s.sweeps)
 	var evicted []string
-	for _, c := range terminal {
-		expired := s.sweepTTL > 0 && now.Sub(c.finished) > s.sweepTTL
-		over := s.maxSweeps > 0 && keep > s.maxSweeps
-		if !expired && !over {
-			break
+	if over := len(s.sweeps) - s.maxSweeps; s.maxSweeps > 0 && over > 0 {
+		type cand struct {
+			id       string
+			finished time.Time
 		}
-		delete(s.sweeps, c.id)
-		keep--
-		evicted = append(evicted, c.id)
+		var terminal []cand
+		for id, j := range s.sweeps {
+			if state, finished := j.finishState(); state.Terminal() {
+				terminal = append(terminal, cand{id, finished})
+			}
+		}
+		slices.SortFunc(terminal, func(a, b cand) int {
+			return a.finished.Compare(b.finished)
+		})
+		for _, c := range terminal {
+			if over <= 0 && !expired(c.finished) {
+				break
+			}
+			delete(s.sweeps, c.id)
+			over--
+			evicted = append(evicted, c.id)
+		}
+	} else if s.sweepTTL > 0 {
+		for id, j := range s.sweeps {
+			if state, finished := j.finishState(); state.Terminal() && expired(finished) {
+				delete(s.sweeps, id)
+				evicted = append(evicted, id)
+			}
+		}
 	}
 	s.mu.Unlock()
 	for _, id := range evicted {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"github.com/maps-sim/mapsim/internal/metacache"
+	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sim"
 )
 
@@ -35,6 +36,14 @@ func CacheNames(p Point) (string, string) {
 		part = ""
 	}
 	return pol, part
+}
+
+// PointKey is the point's result-store content address: its config
+// keyed by results.PointKeyFor under CacheNames' names. The fleet
+// coordinator and mapsd's sweep handler both key points through it.
+func PointKey(p Point) (results.Key, error) {
+	pol, part := CacheNames(p)
+	return results.PointKeyFor(p.Config, pol, part)
 }
 
 // Instantiate materializes a point's runnable sim.Config: fresh

@@ -4,8 +4,11 @@
 # Starts a journaled mapsd, submits a slow sweep, SIGKILLs the daemon
 # mid-sweep, restarts it on the same -journal-dir/-store-dir, and
 # verifies the sweep resumes under its original ID and completes with
-# the already-finished points served from the store. The walkthrough
-# in docs/ROBUSTNESS.md is this script, narrated.
+# the already-finished points served from the store. It then stops the
+# daemon gracefully, restarts it once more, and resubmits the same
+# spec: the store answers every point, so the submit reply is already
+# done, under a fresh ID, and no journal file is written. The
+# walkthrough in docs/ROBUSTNESS.md is this script, narrated.
 #
 # Port can be overridden: CRASH_DRILL_PORT=9000 make crash-drill
 set -eu
@@ -50,14 +53,26 @@ start_daemon() {
 echo "crash-drill: starting a journaled daemon on :$PORT..."
 start_daemon
 
-echo "crash-drill: submitting a slow 8-point sweep..."
-SUBMIT=$(curl -sf -X POST "$BASE/v1/sweeps" -H 'Content-Type: application/json' -d '{
+SPEC='{
     "base": {"instructions": 5000000, "speculation": true},
     "axes": {
         "benchmarks": ["fft", "canneal"],
         "meta": {"points": ["16KB", "32KB", "64KB", "128KB"]}
     }
-}')
+}'
+
+# submit: POST the drill's sweep spec, printing the reply.
+submit() {
+    curl -sf -X POST "$BASE/v1/sweeps" -H 'Content-Type: application/json' -d "$SPEC"
+}
+
+# wals: the journal files on disk, one name a line.
+wals() {
+    ls "$WORK/journal" 2>/dev/null | grep '\.wal$' || true
+}
+
+echo "crash-drill: submitting a slow 8-point sweep..."
+SUBMIT=$(submit)
 ID=$(printf '%s' "$SUBMIT" | field id)
 [ -n "$ID" ] || { echo "crash-drill: no sweep id in: $SUBMIT" >&2; exit 1; }
 echo "crash-drill: sweep $ID admitted"
@@ -117,5 +132,30 @@ if [ "${DEDUPED:-0}" -lt "$DONE" ]; then
 fi
 echo "crash-drill: sweep $ID completed; $DEDUPED points served from the store, none re-simulated"
 curl -sf "$BASE/metrics" | grep '^mapsd_journal\|^mapsd_sweeps_recovered' || true
+
+echo "crash-drill: SIGTERM (graceful drain), then restart..."
+kill -TERM "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+start_daemon
+BEFORE=$(wals)
+echo "crash-drill: resubmitting the finished sweep's spec..."
+SUBMIT=$(submit)
+STATE=$(printf '%s' "$SUBMIT" | field state)
+DEDUPED=$(printf '%s' "$SUBMIT" | field deduped)
+NEWID=$(printf '%s' "$SUBMIT" | field id)
+if [ "$STATE" != done ] || [ "${DEDUPED:-0}" -ne 8 ]; then
+    echo "crash-drill: resubmit reply is not done with 8 deduped points: $SUBMIT" >&2
+    exit 1
+fi
+if [ "$NEWID" = "$ID" ]; then
+    echo "crash-drill: resubmitted sweep reused the finished sweep's ID $ID" >&2
+    exit 1
+fi
+if [ "$(wals)" != "$BEFORE" ]; then
+    echo "crash-drill: the stored resubmit wrote a journal: $(wals)" >&2
+    exit 1
+fi
+echo "crash-drill: sweep $NEWID done at submit, all 8 points from the store, no journal written"
 
 echo "crash-drill: OK"
