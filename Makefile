@@ -65,12 +65,13 @@ race:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
 
-# Ten seconds of coverage-guided fuzzing per target. Five targets are
+# Ten seconds of coverage-guided fuzzing per target. Six targets are
 # decoders that parse untrusted bytes: the trace readers (legacy and
 # streaming), the workload-spec parser (hand-rolled YAML fed by user
 # files and wire requests), the store's envelope decoder (fed by disk
-# files and peer responses), and the sweep journal's record decoder
-# (fed by crash-scrambled WAL files). The last two are differential:
+# records and peer responses), the store's segment reader (Open and
+# Get over a crash-scrambled segment log), and the sweep journal's
+# record decoder (fed by crash-scrambled WAL files). The last two are differential:
 # one holds the hierarchy's recency-ordered true-LRU level to
 # cache.Cache with policy.LRU on fuzzer-chosen geometries and access
 # streams, the other the engine's flat split-counter table to a
@@ -83,6 +84,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzReadStream -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeWorkloadSpec -fuzztime=10s ./internal/workload/spec
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/store
+	$(GO) test -run '^$$' -fuzz=FuzzOpenSegment -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeJournalRecord -fuzztime=10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s ./internal/hierarchy
 	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s ./internal/secmem/engine

@@ -81,6 +81,7 @@ func TestRepoPackagesFullyDocumented(t *testing.T) {
 		"../store",
 		"../fleet",
 		"../journal",
+		"../frame",
 		"../trace",
 		"../workload",
 		"../workload/spec",

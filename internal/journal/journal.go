@@ -11,9 +11,10 @@
 // journaled points force that lookup for NoCache sweeps — so nothing
 // stored re-simulates.
 //
-// The on-disk unit is a framed record: a 4-byte little-endian payload
-// length, a 4-byte little-endian CRC-32 (IEEE) of the payload, then
-// the payload itself (one JSON Record). The discipline mirrors the
+// The on-disk unit is a framed record (internal/frame, shared with the
+// result store): a 4-byte little-endian payload length, a 4-byte
+// little-endian CRC-32 (IEEE) of the payload, then the payload itself
+// (one JSON Record). The discipline mirrors the
 // result store's envelope handling (DESIGN.md §7 and §8): a record
 // cut short at end of file is a torn tail — the crash interrupted an
 // append — and is truncated away, keeping everything before it; a
@@ -28,11 +29,9 @@
 package journal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -43,6 +42,7 @@ import (
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/faults"
+	"github.com/maps-sim/mapsim/internal/frame"
 	"github.com/maps-sim/mapsim/internal/obs"
 )
 
@@ -66,9 +66,9 @@ var (
 // bounds the allocation a hostile or scrambled file can induce.
 const MaxRecordBytes = 8 << 20
 
-// headerSize frames every record: 4 bytes payload length, 4 bytes
-// CRC-32 (IEEE) of the payload, both little-endian.
-const headerSize = 8
+// headerSize frames every record (internal/frame): 4 bytes payload
+// length, 4 bytes CRC-32 (IEEE) of the payload, both little-endian.
+const headerSize = frame.HeaderSize
 
 // Record types.
 const (
@@ -191,11 +191,7 @@ func EncodeRecord(rec Record) ([]byte, error) {
 	if len(payload) > MaxRecordBytes {
 		return nil, fmt.Errorf("journal: record payload %d bytes exceeds %d", len(payload), MaxRecordBytes)
 	}
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf, nil
+	return frame.Append(make([]byte, 0, headerSize+len(payload)), payload), nil
 }
 
 // DecodeRecord parses one framed record from the front of data and
@@ -203,19 +199,12 @@ func EncodeRecord(rec Record) ([]byte, error) {
 // data ends inside the header or payload) return ErrTorn; checksum,
 // JSON, length, and structural failures return ErrCorrupt.
 func DecodeRecord(data []byte) (Record, int, error) {
-	if len(data) < headerSize {
-		return Record{}, 0, fmt.Errorf("%w: %d header bytes of %d", ErrTorn, len(data), headerSize)
+	payload, n, err := frame.Decode(data, MaxRecordBytes)
+	if errors.Is(err, frame.ErrTorn) {
+		return Record{}, 0, fmt.Errorf("%w: %v", ErrTorn, err)
 	}
-	n := binary.LittleEndian.Uint32(data[0:4])
-	if n == 0 || n > MaxRecordBytes {
-		return Record{}, 0, corrupt("framed length %d", n)
-	}
-	if len(data) < headerSize+int(n) {
-		return Record{}, 0, fmt.Errorf("%w: %d payload bytes of %d", ErrTorn, len(data)-headerSize, n)
-	}
-	payload := data[headerSize : headerSize+int(n)]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(data[4:8]) {
-		return Record{}, 0, corrupt("checksum mismatch")
+	if err != nil {
+		return Record{}, 0, corrupt("%v", err)
 	}
 	var rec Record
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -224,7 +213,7 @@ func DecodeRecord(data []byte) (Record, int, error) {
 	if err := rec.validate(); err != nil {
 		return Record{}, 0, err
 	}
-	return rec, headerSize + int(n), nil
+	return rec, n, nil
 }
 
 // ValidID reports whether id is a filesystem-safe journal name: ASCII

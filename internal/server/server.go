@@ -840,13 +840,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP mapsd_store_dropped_disk_puts_total Disk-tier writes lost to faults, write errors, a full queue, or shutdown.\n")
 	fmt.Fprintf(w, "# TYPE mapsd_store_dropped_disk_puts_total counter\nmapsd_store_dropped_disk_puts_total %d\n", sts.DroppedDiskPuts)
 	fmt.Fprintf(w, "# TYPE mapsd_store_gc_evictions_total counter\nmapsd_store_gc_evictions_total %d\n", sts.GCEvictions)
-	fmt.Fprintf(w, "# HELP mapsd_store_quarantined_total Corrupt disk entries moved aside; each costs one recompute, never an error.\n")
+	fmt.Fprintf(w, "# HELP mapsd_store_quarantined_total Corrupt disk records copied aside and dropped; each costs one recompute, never an error.\n")
 	fmt.Fprintf(w, "# TYPE mapsd_store_quarantined_total counter\nmapsd_store_quarantined_total %d\n", sts.Quarantined)
 	fmt.Fprintf(w, "# TYPE mapsd_store_disk_errors_total counter\nmapsd_store_disk_errors_total %d\n", sts.DiskErrors)
 	fmt.Fprintf(w, "# TYPE mapsd_store_peer_fills_total counter\nmapsd_store_peer_fills_total %d\n", sts.PeerFills)
 	fmt.Fprintf(w, "# TYPE mapsd_store_peer_errors_total counter\nmapsd_store_peer_errors_total %d\n", sts.PeerErrors)
 	fmt.Fprintf(w, "# TYPE mapsd_store_entries gauge\nmapsd_store_entries %d\n", sts.DiskEntries)
-	fmt.Fprintf(w, "# HELP mapsd_store_bytes Bytes resident in the disk tier.\n")
+	fmt.Fprintf(w, "# HELP mapsd_store_bytes Bytes of live records in the disk tier, the quantity -store-max-bytes caps.\n")
 	fmt.Fprintf(w, "# TYPE mapsd_store_bytes gauge\nmapsd_store_bytes %d\n", sts.DiskBytes)
 	fmt.Fprintf(w, "# TYPE mapsd_store_pending_writes gauge\nmapsd_store_pending_writes %d\n", sts.PendingWrites)
 	fmt.Fprintf(w, "# TYPE mapsd_store_peers gauge\nmapsd_store_peers %d\n", sts.Peers)

@@ -4,12 +4,13 @@
 //
 //	tier 0  memory  the existing results.Cache LRU — fastest, dies
 //	                with the process
-//	tier 1  disk    one file per key under Options.Dir, sharded by
-//	                hash prefix, each a versioned + checksummed JSON
-//	                envelope written via temp-file + atomic rename;
-//	                corrupt or truncated entries are quarantined, not
-//	                fatal, and a size-capped GC evicts the least
-//	                recently accessed files past Options.MaxBytes
+//	tier 1  disk    append-only segment logs under Options.Dir, one
+//	                framed record (length, CRC-32, key, versioned +
+//	                checksummed JSON envelope) per stored result;
+//	                corrupt records are quarantined, not fatal, and a
+//	                size-capped GC evicts the least recently accessed
+//	                entries past Options.MaxBytes and reclaims segments
+//	                that are at most half live
 //	tier 2  peers   other mapsd daemons consulted over HTTP
 //	                (GET /v1/store/{key}) on a local miss, so a fleet
 //	                shares results instead of recomputing them
@@ -33,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/results"
@@ -120,14 +122,27 @@ func Encode(key results.Key, value any) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode payload: %w", err)
 	}
 	sum := sha256.Sum256(payload)
-	return json.Marshal(Envelope{
-		Version:  Version,
-		Key:      string(key),
-		Kind:     kind,
-		Created:  time.Now().UTC(),
-		Checksum: hex.EncodeToString(sum[:]),
-		Payload:  payload,
-	})
+	created, err := time.Now().UTC().MarshalJSON()
+	if err != nil {
+		return nil, fmt.Errorf("store: encode created: %w", err)
+	}
+	// The bytes json.Marshal(Envelope{...}) produces, field for field,
+	// assembled directly: json.Marshal would re-scan the payload it
+	// just produced to compact it again, most of a put's CPU.
+	buf := make([]byte, 0, len(payload)+256)
+	buf = append(buf, `{"version":`...)
+	buf = strconv.AppendInt(buf, Version, 10)
+	buf = append(buf, `,"key":"`...)
+	buf = append(buf, key...)
+	buf = append(buf, `","kind":"`...)
+	buf = append(buf, kind...)
+	buf = append(buf, `","created":`...)
+	buf = append(buf, created...)
+	buf = append(buf, `,"checksum":"`...)
+	buf = hex.AppendEncode(buf, sum[:])
+	buf = append(buf, `","payload":`...)
+	buf = append(buf, payload...)
+	return append(buf, '}'), nil
 }
 
 // Decode parses and validates envelope bytes: well-formed JSON, the

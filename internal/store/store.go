@@ -86,11 +86,23 @@ type Store struct {
 	peerTimeout time.Duration
 	log         *slog.Logger
 
-	// Disk index (disk.go): key → size + LRA tick.
+	// Disk index (disk.go): key → record location + LRA tick, and
+	// the open segments. dmu guards both; the writer goroutine is the
+	// only one that adds segments or moves records.
 	dmu       sync.Mutex
-	entries   map[results.Key]*diskEntry
+	entries   map[results.Key]diskEntry
+	segs      map[uint64]*segment
 	diskBytes int64
 	clock     uint64
+
+	// Writer-goroutine state (and Open's, before the writer starts):
+	// the segment appends go to (0 = none yet), the highest segment
+	// number seen, the size that seals a segment, and a reusable
+	// record buffer.
+	active  uint64
+	nextSeq uint64
+	sealAt  int64
+	wbuf    []byte
 
 	// Async writer: Put enqueues, one goroutine drains. closed gates
 	// the channel so Put after Close degrades to a counted drop
@@ -135,7 +147,8 @@ func Open(opts Options) (*Store, error) {
 		peers:       opts.Peers,
 		peerTimeout: opts.PeerTimeout,
 		log:         log,
-		entries:     make(map[results.Key]*diskEntry),
+		entries:     make(map[results.Key]diskEntry),
+		segs:        make(map[uint64]*segment),
 	}
 	if s.dir != "" {
 		if err := s.openDisk(); err != nil {
@@ -170,14 +183,10 @@ func (s *Store) Get(ctx context.Context, key results.Key) (any, bool) {
 		return v, true
 	}
 	if s.dir != "" {
-		if _, env, ok := s.diskGet(key); ok {
-			v, err := env.Value()
-			if err == nil {
-				s.diskHits.Add(1)
-				s.mem.Put(key, v)
-				return v, true
-			}
-			s.quarantine(key, s.entryPath(key), err)
+		if _, v, ok := s.diskGet(key, true); ok {
+			s.diskHits.Add(1)
+			s.mem.Put(key, v)
+			return v, true
 		}
 	}
 	for i := range s.peers {
@@ -259,7 +268,7 @@ func (s *Store) enqueue(pw pendingWrite) {
 }
 
 // writer drains the queue: encode (unless the bytes arrived framed,
-// as peer fills do) and write-with-rename. Encoding off the Put path
+// as peer fills do) and append. Encoding off the Put path
 // keeps simulation workers from paying JSON costs for large suites.
 func (s *Store) writer() {
 	defer close(s.writerDone)
@@ -295,7 +304,7 @@ func (s *Store) Envelope(key results.Key) ([]byte, bool) {
 		}
 	}
 	if s.dir != "" {
-		if raw, _, ok := s.diskGet(key); ok {
+		if raw, _, ok := s.diskGet(key, false); ok {
 			return raw, true
 		}
 	}
@@ -319,9 +328,9 @@ func (s *Store) Flush(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the writer after it drains every queued write, then
-// returns. Idempotent; Puts arriving after Close keep the memory tier
-// but drop (and count) their disk copy.
+// Close stops the writer after it drains every queued write, closes
+// the segment files, then returns. Idempotent; Puts arriving after
+// Close keep the memory tier but drop (and count) their disk copy.
 func (s *Store) Close() {
 	if s.writeCh == nil {
 		return
@@ -333,6 +342,7 @@ func (s *Store) Close() {
 	}
 	s.wmu.Unlock()
 	<-s.writerDone
+	s.closeSegments()
 }
 
 // Stats is a snapshot of the store's counters and gauges, feeding the

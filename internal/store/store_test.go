@@ -1,19 +1,24 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/faults"
+	"github.com/maps-sim/mapsim/internal/frame"
 	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/sim"
 )
@@ -84,6 +89,10 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	if env.Key != string(k) || env.Kind != KindRun || env.Version != Version {
 		t.Fatalf("bad frame: %+v", env)
+	}
+	// Encode frames by hand; its bytes must be json.Marshal's.
+	if std, err := json.Marshal(env); err != nil || !bytes.Equal(data, std) {
+		t.Fatalf("Encode differs from json.Marshal of its envelope:\n%s\n%s", data, std)
 	}
 	v, err := env.Value()
 	if err != nil {
@@ -197,8 +206,38 @@ func TestGetPutAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestCorruptEntryQuarantined: a damaged file costs one recompute and
-// a quarantine move, never an error or a wrong result.
+// newestSegment returns the path of the highest-numbered segment
+// under dir.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, segmentsDir))
+	if err != nil || len(ents) == 0 {
+		t.Fatalf("no segments under %s (%v)", dir, err)
+	}
+	return filepath.Join(dir, segmentsDir, ents[len(ents)-1].Name())
+}
+
+// segmentFiles returns how many segment files dir holds and their
+// total bytes.
+func segmentFiles(t *testing.T, dir string) (int, int64) {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, segmentsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return len(ents), total
+}
+
+// TestCorruptEntryQuarantined: a damaged record costs one recompute
+// and a quarantine copy, never an error or a wrong result.
 func TestCorruptEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	k := key("to-corrupt")
@@ -207,14 +246,15 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	flush(t, s1)
 	s1.Close()
 
-	// Truncate the visible entry — the torn-write shape a crashed
-	// kernel or failing disk could leave.
-	path := filepath.Join(dir, objectsDir, string(k)[:2], string(k)+entryExt)
+	// Flip one byte inside the record's envelope — the bit rot a
+	// failing disk could leave.
+	path := newestSegment(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)/3], 0o644); err != nil {
+	raw[len(raw)-10] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,7 +266,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	if st.Quarantined != 1 || st.Misses != 1 || st.DiskEntries != 0 {
 		t.Fatalf("stats after corrupt read: %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, string(k)+entryExt)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, string(k)+".json")); err != nil {
 		t.Fatalf("corrupt entry not quarantined: %v", err)
 	}
 	// A fresh Put heals the slot.
@@ -240,9 +280,9 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	}
 }
 
-// TestCrashMidWriteInvisible is the atomic-rename contract: a process
-// killed between temp-file write and rename leaves only a *.tmp —
-// never a visible, half-written entry — and Open sweeps it.
+// TestCrashMidWriteInvisible is the torn-append contract: a process
+// killed mid-append leaves half a record at the end of its segment —
+// never a visible entry — and the next Open cuts it off.
 func TestCrashMidWriteInvisible(t *testing.T) {
 	dir := t.TempDir()
 	kGood, kTorn := key("good"), key("torn")
@@ -251,20 +291,25 @@ func TestCrashMidWriteInvisible(t *testing.T) {
 	flush(t, s1)
 	s1.Close()
 
-	// Fake the crash: a partial envelope parked at the temp name the
-	// writer would have used, rename never reached.
-	shard := filepath.Join(dir, objectsDir, string(kTorn)[:2])
-	if err := os.MkdirAll(shard, 0o755); err != nil {
+	// Fake the crash: the first half of kTorn's record appended to
+	// the newest segment, the rest never written.
+	env, err := Encode(kTorn, runResult("fft", 21))
+	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(shard, string(kTorn)+entryExt+tmpExt)
-	if err := os.WriteFile(tmp, []byte(`{"version":1,"key":"tr`), 0o644); err != nil {
+	rec := frame.Append(nil, []byte(kTorn), env)
+	path := newestSegment(t, dir)
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(append([]byte{}, intact...), rec[:len(rec)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := mustOpen(t, Options{Dir: dir, Memory: results.New(8)})
 	if st := s2.Stats(); st.DiskEntries != 1 {
-		t.Fatalf("indexed %d entries, want 1 (tmp must be invisible)", st.DiskEntries)
+		t.Fatalf("indexed %d entries, want 1 (the torn record must be invisible)", st.DiskEntries)
 	}
 	if _, ok := s2.Get(context.Background(), kTorn); ok {
 		t.Fatal("Get served the torn write")
@@ -272,11 +317,175 @@ func TestCrashMidWriteInvisible(t *testing.T) {
 	if _, ok := s2.Get(context.Background(), kGood); !ok {
 		t.Fatal("good entry lost")
 	}
-	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("tmp file not swept at open: %v", err)
+	if info, err := os.Stat(path); err != nil || info.Size() != int64(len(intact)) {
+		t.Fatalf("torn tail not cut at open: %v", err)
 	}
 	if st := s2.Stats(); st.Quarantined != 0 {
-		t.Fatalf("tmp sweep counted as quarantine: %+v", st)
+		t.Fatalf("torn tail counted as quarantine: %+v", st)
+	}
+}
+
+// TestReopenLastWriteWins: when a key has records in two segments,
+// the later one is what a reopened store serves.
+func TestReopenLastWriteWins(t *testing.T) {
+	dir := t.TempDir()
+	k := key("rewritten")
+	first, second := runResult("fft", 1000), runResult("fft", 2000)
+	env, err := Encode(k, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := int64(frame.HeaderSize + keyLen + len(env))
+	// A cap that seals a segment after three and a half records, so
+	// four puts rotate and the segment left behind stays mostly live
+	// (compaction leaves it alone).
+	opts := Options{Dir: dir, Memory: results.New(8), MaxBytes: 8 * (3*rec + rec/2)}
+	s1 := mustOpen(t, opts)
+	s1.Put(k, first)
+	for i := 0; i < 3; i++ {
+		s1.Put(key(fmt.Sprintf("filler-%d", i)), runResult("fft", uint64(1001+i)))
+	}
+	s1.Put(k, second)
+	flush(t, s1)
+	s1.Close()
+	if n, _ := segmentFiles(t, dir); n != 2 {
+		t.Fatalf("%d segments, want 2 (the puts must rotate once)", n)
+	}
+
+	s2 := mustOpen(t, opts)
+	v, ok := s2.Get(context.Background(), k)
+	if !ok || !reflect.DeepEqual(v, second) {
+		t.Fatalf("reopened store served %+v (ok=%v), want the second write", v, ok)
+	}
+}
+
+// TestCompactionShrinksSegments: a cap below what the segments hold
+// evicts, then reclaims the emptied segment, and every survivor is
+// still served after a reopen.
+func TestCompactionShrinksSegments(t *testing.T) {
+	dir := t.TempDir()
+	want := map[results.Key]*sim.Result{}
+	s1 := mustOpen(t, Options{Dir: dir, Memory: results.New(8)})
+	for i := 0; i < 12; i++ {
+		k := key(fmt.Sprintf("compact-%d", i))
+		want[k] = runResult("fft", uint64(100+i))
+		s1.Put(k, want[k])
+	}
+	flush(t, s1)
+	s1.Close()
+	_, before := segmentFiles(t, dir)
+
+	opts := Options{Dir: dir, Memory: results.New(8), MaxBytes: before / 3}
+	s2 := mustOpen(t, opts)
+	if st := s2.Stats(); st.GCEvictions == 0 {
+		t.Fatalf("open-time GC evicted nothing: %+v", st)
+	}
+	if _, after := segmentFiles(t, dir); after >= before {
+		t.Fatalf("segments hold %d bytes after GC, %d before", after, before)
+	}
+	s2.dmu.Lock()
+	var survivors []results.Key
+	for k := range s2.entries {
+		survivors = append(survivors, k)
+	}
+	s2.dmu.Unlock()
+	if len(survivors) == 0 {
+		t.Fatal("GC evicted every entry")
+	}
+	s2.Close()
+
+	s3 := mustOpen(t, opts)
+	for _, k := range survivors {
+		if v, ok := s3.Get(context.Background(), k); !ok || !reflect.DeepEqual(v, want[k]) {
+			t.Fatalf("survivor %s not served after reopen (ok=%v)", k, ok)
+		}
+	}
+	if st := s3.Stats(); st.DiskHits != uint64(len(survivors)) || st.Quarantined != 0 {
+		t.Fatalf("stats after reading survivors: %+v", st)
+	}
+}
+
+// TestLegacyObjectsIgnored: a directory an earlier build filled with
+// one file per entry opens cleanly; the old entries are not served,
+// one warning says so, and the files stay where they were.
+func TestLegacyObjectsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	k := key("legacy")
+	data, err := Encode(k, runResult("fft", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "objects", string(k)[:2], string(k)+".json")
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	s := mustOpen(t, Options{Dir: dir, Memory: results.New(8), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if _, ok := s.Get(context.Background(), k); ok {
+		t.Fatal("Get served a legacy objects/ entry")
+	}
+	if st := s.Stats(); st.DiskEntries != 0 {
+		t.Fatalf("legacy entry indexed: %+v", st)
+	}
+	if n := strings.Count(logs.String(), "level=WARN"); n != 1 {
+		t.Fatalf("%d warnings, want 1:\n%s", n, logs.String())
+	}
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("legacy entry disturbed: %v", err)
+	}
+}
+
+// TestGetsRaceCompaction: lookups running while the writer appends,
+// evicts and compacts never serve a wrong value and never count a
+// corrupt or failed read.
+func TestGetsRaceCompaction(t *testing.T) {
+	env, err := Encode(key("size"), runResult("fft", 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := int64(frame.HeaderSize + keyLen + len(env))
+	// Segments seal at two records and the cap holds sixteen, so
+	// every round of puts evicts and compacts.
+	s := mustOpen(t, Options{Dir: t.TempDir(), Memory: results.New(1), MaxBytes: 16 * rec})
+	keys := make([]results.Key, 64)
+	want := make(map[results.Key]*sim.Result, len(keys))
+	for i := range keys {
+		keys[i] = key(fmt.Sprintf("race-%d", i))
+		want[keys[i]] = runResult("fft", uint64(1000+i))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := keys[i%len(keys)]
+				if v, ok := s.Get(context.Background(), k); ok && !reflect.DeepEqual(v, want[k]) {
+					t.Errorf("Get(%s) served a value stored under another key", k)
+					return
+				}
+			}
+		}(g)
+	}
+	for round := 0; round < 4; round++ {
+		for _, k := range keys {
+			s.Put(k, want[k])
+		}
+		flush(t, s)
+	}
+	close(stop)
+	wg.Wait()
+	if st := s.Stats(); st.Quarantined != 0 || st.DiskErrors != 0 || st.GCEvictions == 0 {
+		t.Fatalf("stats after racing lookups: %+v", st)
 	}
 }
 

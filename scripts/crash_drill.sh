@@ -2,9 +2,11 @@
 # crash_drill.sh — kill-and-recover drill for the sweep journal.
 #
 # Starts a journaled mapsd, submits a slow sweep, SIGKILLs the daemon
-# mid-sweep, restarts it on the same -journal-dir/-store-dir, and
-# verifies the sweep resumes under its original ID and completes with
-# the already-finished points served from the store. It then stops the
+# mid-sweep, appends half a record to the store's newest segment (the
+# shape of an append the kill cut short), restarts it on the same
+# -journal-dir/-store-dir, and verifies the sweep resumes under its
+# original ID and completes with the already-finished points served
+# from the store and nothing quarantined. It then stops the
 # daemon gracefully, restarts it once more, and resubmits the same
 # spec: the store answers every point, so the submit reply is already
 # done, under a fresh ID, and no journal file is written. The
@@ -102,6 +104,12 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
+# A torn append: a frame header announcing 255 payload bytes, then
+# only three of them. The restart must cut it off, not quarantine it.
+SEG="$WORK/store/segments/$(ls "$WORK/store/segments" | tail -1)"
+echo "crash-drill: appending a torn record to $(basename "$SEG")..."
+printf '\377\000\000\000\000\000\000\000abc' >>"$SEG"
+
 echo "crash-drill: restarting on the same journal and store..."
 start_daemon
 RECOVERED=$(curl -sf "$BASE/metrics" | sed -n 's/^mapsd_sweeps_recovered_total \([0-9]*\)$/\1/p')
@@ -130,7 +138,12 @@ if [ "${DEDUPED:-0}" -lt "$DONE" ]; then
     echo "crash-drill: only ${DEDUPED:-0} of the $DONE points stored before the kill were served from the store" >&2
     exit 1
 fi
-echo "crash-drill: sweep $ID completed; $DEDUPED points served from the store, none re-simulated"
+QUARANTINED=$(curl -sf "$BASE/metrics" | sed -n 's/^mapsd_store_quarantined_total \([0-9]*\)$/\1/p')
+if [ "${QUARANTINED:-x}" != 0 ]; then
+    echo "crash-drill: the torn append cost ${QUARANTINED:-?} quarantined entries, want 0" >&2
+    exit 1
+fi
+echo "crash-drill: sweep $ID completed; $DEDUPED points served from the store, none re-simulated, none quarantined"
 curl -sf "$BASE/metrics" | grep '^mapsd_journal\|^mapsd_sweeps_recovered' || true
 
 echo "crash-drill: SIGTERM (graceful drain), then restart..."
