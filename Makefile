@@ -71,11 +71,14 @@ race:
 # files and wire requests), the store's envelope decoder (fed by disk
 # records and peer responses), the store's segment reader (Open and
 # Get over a crash-scrambled segment log), and the sweep journal's
-# record decoder (fed by crash-scrambled WAL files). The last two are differential:
-# one holds the hierarchy's recency-ordered true-LRU level to
-# cache.Cache with policy.LRU on fuzzer-chosen geometries and access
-# streams, the other the engine's flat split-counter table to a
-# per-page map on fuzzer-chosen layouts and write streams.
+# record decoder (fed by crash-scrambled WAL files). The last three are
+# differential: one holds the hierarchy's recency-ordered true-LRU
+# level to cache.Cache with policy.LRU on fuzzer-chosen geometries and
+# access streams, one the metadata cache's packed sets to cache.Cache
+# with the same PLRU or LRU policy on fuzzer-chosen geometries,
+# partitions, partial-write settings and access streams, and the last
+# the engine's flat split-counter table to a per-page map on
+# fuzzer-chosen layouts and write streams.
 # Enough to catch regressions on malformed or adversarial input without
 # slowing the gate meaningfully. Fuzz corpus findings land in each
 # package's testdata.
@@ -87,6 +90,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzOpenSegment -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeJournalRecord -fuzztime=10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s ./internal/hierarchy
+	$(GO) test -run '^$$' -fuzz=FuzzMetaSetsMatchCache -fuzztime=10s ./internal/metacache
 	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s ./internal/secmem/engine
 
 # Full benchmark pass: measure the access kernel and end-to-end runs,

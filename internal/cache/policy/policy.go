@@ -40,10 +40,6 @@ func NewLRU() *LRU { return &LRU{} }
 // Name implements cache.Policy.
 func (*LRU) Name() string { return "lru" }
 
-// InlineKind implements cache.Inlinable: the cache devirtualizes LRU
-// into its hot path. Wrap with Generic to force the interface path.
-func (*LRU) InlineKind() cache.InlineKind { return cache.InlineLRU }
-
 // Reset implements cache.Policy.
 func (p *LRU) Reset(sets, ways int) {
 	p.ways = ways
@@ -92,11 +88,6 @@ func NewPLRU() *PLRU { return &PLRU{} }
 
 // Name implements cache.Policy.
 func (*PLRU) Name() string { return "plru" }
-
-// InlineKind implements cache.Inlinable: the cache devirtualizes
-// PLRU into its hot path. Wrap with Generic to force the interface
-// path.
-func (*PLRU) InlineKind() cache.InlineKind { return cache.InlinePLRU }
 
 // Reset implements cache.Policy.
 func (p *PLRU) Reset(sets, ways int) {
@@ -281,39 +272,11 @@ func (p *RRIP) Victim(set int, lines []cache.Line, allowed uint64) int {
 	}
 }
 
-// generic forwards exactly the cache.Policy methods of the wrapped
-// policy, hiding marker interfaces like cache.Inlinable so the cache
-// takes the fully virtual path.
-type generic struct{ cache.Policy }
-
-// genericObserver additionally forwards OnAccess for wrapped
-// policies that implement cache.AccessObserver.
-type genericObserver struct {
-	generic
-	obs cache.AccessObserver
-}
-
-// OnAccess implements cache.AccessObserver.
-func (g genericObserver) OnAccess(addr uint64, write bool) { g.obs.OnAccess(addr, write) }
-
-// Generic wraps a policy so the cache cannot devirtualize it: every
-// hook goes through the Policy interface. Behaviour is identical,
-// only slower — the cross-check tests use it to validate the inlined
-// LRU/PLRU fast paths against the generic implementation.
-func Generic(p cache.Policy) cache.Policy {
-	if obs, ok := p.(cache.AccessObserver); ok {
-		return genericObserver{generic{p}, obs}
-	}
-	return generic{p}
-}
-
 // Interface checks.
 var (
-	_ cache.Policy    = (*LRU)(nil)
-	_ cache.Policy    = (*PLRU)(nil)
-	_ cache.Policy    = (*FIFO)(nil)
-	_ cache.Policy    = (*Random)(nil)
-	_ cache.Policy    = (*RRIP)(nil)
-	_ cache.Inlinable = (*LRU)(nil)
-	_ cache.Inlinable = (*PLRU)(nil)
+	_ cache.Policy = (*LRU)(nil)
+	_ cache.Policy = (*PLRU)(nil)
+	_ cache.Policy = (*FIFO)(nil)
+	_ cache.Policy = (*Random)(nil)
+	_ cache.Policy = (*RRIP)(nil)
 )

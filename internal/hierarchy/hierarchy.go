@@ -45,10 +45,10 @@ type Config struct {
 	L2Size, L2Ways int
 	L3Size, L3Ways int
 	// DisableFastPath runs every level as a cache.Cache whose true
-	// LRU goes through the generic Policy interface
-	// (policy.Generic(policy.NewLRU())), instead of the levels' own
-	// recency-ordered sets. Results are bit-identical by contract;
-	// the twin tests use this reference path to prove it.
+	// LRU (policy.NewLRU()) goes through the generic Policy
+	// interface, instead of the levels' own recency-ordered sets.
+	// Results are bit-identical by contract; the twin tests use this
+	// reference path to prove it.
 	DisableFastPath bool
 }
 

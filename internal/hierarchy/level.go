@@ -46,7 +46,7 @@ func newLevel(size, ways int, reference bool) (*level, error) {
 	}
 	l := &level{ways: ways, setMask: uint64(sets - 1)}
 	if reference {
-		l.ref, err = cache.New(size, ways, policy.Generic(policy.NewLRU()))
+		l.ref, err = cache.New(size, ways, policy.NewLRU())
 		return l, err
 	}
 	l.lines = make([]uint64, sets*ways)

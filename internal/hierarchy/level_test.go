@@ -29,7 +29,7 @@ func checkLevelTwin(t testing.TB, size, ways int, stream []access) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := cache.MustNew(size, ways, policy.Generic(policy.NewLRU()))
+	ref := cache.MustNew(size, ways, policy.NewLRU())
 	for i, a := range stream {
 		hit, ev, dirty := l.access(a.addr, a.write)
 		r := ref.Access(a.addr, a.write, cache.WholeBlock)

@@ -125,10 +125,10 @@ type Config struct {
 	PartialWrites bool
 	// Partition constrains counter/hash placement; nil means none.
 	Partition partition.Scheme
-	// DisableFastPath wraps the policy with policy.Generic so the
-	// underlying cache cannot devirtualize it. Results are
-	// bit-identical by contract; the cross-check tests use this to
-	// prove it.
+	// DisableFastPath runs a built-in PLRU or LRU policy on
+	// cache.Cache's generic Policy-interface path instead of the
+	// metadata cache's own sets. Results are bit-identical by
+	// contract; the cross-check tests use this to prove it.
 	DisableFastPath bool
 }
 
@@ -169,25 +169,30 @@ type Evicted struct {
 	Partial bool
 }
 
-// MetaCache is the type-aware metadata cache.
+// MetaCache is the type-aware metadata cache. A built-in PLRU or LRU
+// policy runs on the cache's own packed sets; any other policy, a
+// wider cache, or DisableFastPath runs on ref, a cache.Cache driving
+// the policy through its Policy interface.
 type MetaCache struct {
-	cfg      Config
-	c        *cache.Cache
-	perKind  [4]KindStats
-	perLevel [16]KindStats // tree accesses split by level
-	scratch  []Evicted
-
-	// Per-access invariants resolved once at New: the policy's
-	// optional class observer, whether the partition scheme is the
-	// no-op None (whose mask is constant and observer empty), and the
-	// content/partial-write policies flattened into per-kind tables —
-	// the Access wrapper's bookkeeping showed up in profiles alongside
-	// the cache probe itself.
+	// The fields an access reads come first, so that they share host
+	// cache lines: the packed sets, or ref when they are not in use,
+	// and the per-access invariants resolved once at New — the
+	// policy's optional class observer, whether the partition scheme
+	// is the no-op None (whose mask is constant and observer empty),
+	// and the content/partial-write policies flattened into per-kind
+	// tables.
+	sets        sets
+	ref         *cache.Cache
 	observer    classObserver
 	noPartition bool
-	fullMask    uint64
 	allow       [4]bool
 	partialOK   [4]bool
+	fullMask    uint64
+	setMask     uint64
+	perKind     [4]KindStats
+	perLevel    [16]KindStats // tree accesses split by level
+	scratch     []Evicted
+	cfg         Config
 }
 
 // classObserver is the optional per-class learning hook type-aware
@@ -199,25 +204,30 @@ func New(cfg Config) (*MetaCache, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = policy.NewPLRU()
 	}
-	if cfg.DisableFastPath {
-		cfg.Policy = policy.Generic(cfg.Policy)
-	}
 	if cfg.Content == 0 {
 		cfg.Content = AllTypes
 	}
-	c, err := cache.New(cfg.Size, cfg.Ways, cfg.Policy)
+	count, err := cache.Geometry(cfg.Size, cfg.Ways)
 	if err != nil {
 		return nil, fmt.Errorf("metacache: %w", err)
 	}
-	if cfg.Partition == nil {
-		cfg.Partition = partition.NewNone()
+	m := &MetaCache{cfg: cfg, setMask: uint64(count - 1)}
+	_, lru := cfg.Policy.(*policy.LRU)
+	_, plru := cfg.Policy.(*policy.PLRU)
+	if (lru || plru) && cfg.Ways <= maxSetWays && !cfg.DisableFastPath {
+		// The sets replicate the policy, so it is never consulted.
+		m.sets = newSets(count, cfg.Ways, lru)
+	} else if m.ref, err = cache.New(cfg.Size, cfg.Ways, cfg.Policy); err != nil {
+		return nil, fmt.Errorf("metacache: %w", err)
 	}
-	cfg.Partition.Reset(c.Sets(), cfg.Ways)
-	m := &MetaCache{cfg: cfg, c: c}
+	if m.cfg.Partition == nil {
+		m.cfg.Partition = partition.NewNone()
+	}
+	m.cfg.Partition.Reset(count, cfg.Ways)
 	m.observer, _ = cfg.Policy.(classObserver)
-	if _, none := cfg.Partition.(*partition.None); none {
+	if _, none := m.cfg.Partition.(*partition.None); none {
 		m.noPartition = true
-		m.fullMask = cfg.Partition.AllowedMask(0, memlayout.KindCounter)
+		m.fullMask = m.cfg.Partition.AllowedMask(0, memlayout.KindCounter)
 	}
 	for _, k := range memlayout.MetaKinds {
 		m.allow[k] = cfg.Content.Allows(k)
@@ -227,6 +237,17 @@ func New(cfg Config) (*MetaCache, error) {
 		m.partialOK[memlayout.KindTree] = true
 	}
 	return m, nil
+}
+
+// Reach reports the bound every address the cache is given must stay
+// below: the packed sets keep class and slot bits above the block
+// address in each line word. A layout whose TotalBytes exceeds it must
+// not be simulated with this cache.
+func (m *MetaCache) Reach() uint64 {
+	if m.ref == nil {
+		return maxAddr
+	}
+	return ^uint64(0)
 }
 
 // MustNew is New but panics on error.
@@ -239,7 +260,7 @@ func MustNew(cfg Config) *MetaCache {
 }
 
 // Size reports capacity in bytes.
-func (m *MetaCache) Size() int { return m.c.SizeBytes() }
+func (m *MetaCache) Size() int { return m.cfg.Size }
 
 // Content reports the content policy.
 func (m *MetaCache) Content() ContentPolicy { return m.cfg.Content }
@@ -284,23 +305,36 @@ func (m *MetaCache) TotalStats() KindStats {
 }
 
 // CacheStats exposes the underlying cache counters.
-func (m *MetaCache) CacheStats() cache.Stats { return m.c.Stats() }
+func (m *MetaCache) CacheStats() cache.Stats {
+	if m.ref != nil {
+		return m.ref.Stats()
+	}
+	return m.sets.stats()
+}
 
 // ResetStats zeroes all statistics (contents persist), for warmup.
 func (m *MetaCache) ResetStats() {
 	m.perKind = [4]KindStats{}
 	m.perLevel = [16]KindStats{}
-	m.c.ResetStats()
+	if m.ref != nil {
+		m.ref.ResetStats()
+	} else {
+		m.sets.counts = cache.Stats{}
+	}
 }
 
 // Occupancy counts resident lines of one kind (-1 for all).
 func (m *MetaCache) Occupancy(kind int) int {
+	occupancy := m.sets.occupancy
+	if m.ref != nil {
+		occupancy = m.ref.Occupancy
+	}
 	if kind < 0 {
-		return m.c.Occupancy(-1)
+		return occupancy(-1)
 	}
 	n := 0
 	for level := 0; level < 16; level++ {
-		n += m.c.Occupancy(int(EncodeClass(memlayout.Kind(kind), level)))
+		n += occupancy(int(EncodeClass(memlayout.Kind(kind), level)))
 	}
 	return n
 }
@@ -335,31 +369,32 @@ func (m *MetaCache) Access(addr uint64, kind memlayout.Kind, level int, write bo
 	if m.noPartition {
 		allowed = m.fullMask
 	} else {
-		set = m.c.SetOf(addr)
+		set = int(addr / cache.BlockSize & m.setMask)
 		allowed = m.cfg.Partition.AllowedMask(set, kind)
 	}
 
-	// Both branches produce the same register-friendly tuple: evFlags
-	// is the displaced dirty line's packed flags word, zero when none.
+	// Whole-block accesses (counters, tree verification, and all
+	// traffic when partial writes are off) carry no slot.
+	if !m.partialOK[kind] {
+		slot = -1
+	}
+	// evFlags is the displaced dirty line's class | slot mask<<8, zero
+	// when none: a valid line's slot mask is never zero.
 	var tagHit, slotValid bool
 	var evAddr, evFlags uint64
-	if partial := m.partialOK[kind] && slot >= 0; !partial {
-		// Whole-block accesses (counters, tree verification, and all
-		// traffic when partial writes are off) skip the Options/Result
-		// struct boundary of the general cache entry point.
-		tagHit, evAddr, evFlags = m.c.FastAccessClassed(addr, write, EncodeClass(kind, level), allowed)
-		slotValid = tagHit
+	if m.ref == nil {
+		tagHit, slotValid, evAddr, evFlags = m.sets.access(addr&^(cache.BlockSize-1), write, EncodeClass(kind, level), slot, allowed)
 	} else {
-		res := m.c.Access(addr, write, cache.Options{
+		res := m.ref.Access(addr, write, cache.Options{
 			Class:   EncodeClass(kind, level),
 			Slot:    slot,
-			Partial: partial,
+			Partial: slot >= 0,
 			Allowed: allowed,
 		})
 		tagHit, slotValid = res.Hit, res.SlotValid
 		if res.Evicted.Valid && res.Evicted.Dirty {
 			evAddr = res.Evicted.Addr
-			evFlags = packFlagsWord(res.Evicted.Class, res.Evicted.ValidMask)
+			evFlags = uint64(res.Evicted.Class) | uint64(res.Evicted.ValidMask)<<8
 		}
 	}
 
@@ -387,37 +422,28 @@ func (m *MetaCache) Access(addr uint64, kind memlayout.Kind, level int, write bo
 		}
 	}
 	if evFlags != 0 {
-		m.scratch = m.scratch[:0]
-		k, lev := DecodeClass(uint8(evFlags >> 16))
-		m.scratch = append(m.scratch, Evicted{
-			Addr:    evAddr,
-			Kind:    k,
-			Level:   lev,
-			Partial: uint8(evFlags>>8) != cache.FullMask,
-		})
+		m.scratch = append(m.scratch[:0], evicted(evAddr, evFlags))
 		out.Evicted = m.scratch
 	}
 	return out
 }
 
-// packFlagsWord mirrors the cache's packed flags layout
-// (Class<<16 | ValidMask<<8 | dirty) for the slow-path branch above.
-func packFlagsWord(class, vmask uint8) uint64 {
-	return uint64(class)<<16 | uint64(vmask)<<8 | 1
+// evicted describes a displaced dirty block from its address and its
+// class | slot mask<<8.
+func evicted(addr, flags uint64) Evicted {
+	k, lev := DecodeClass(uint8(flags))
+	return Evicted{Addr: addr, Kind: k, Level: lev, Partial: uint8(flags>>8) != cache.FullMask}
 }
 
-// Flush evicts everything, returning the dirty blocks for final
-// writeback accounting.
+// Flush evicts everything, returning the dirty blocks in set/way order
+// for final writeback accounting.
 func (m *MetaCache) Flush() []Evicted {
+	if m.ref == nil {
+		return m.sets.flush(nil)
+	}
 	var out []Evicted
-	for _, l := range m.c.Flush() {
-		k, lev := DecodeClass(l.Class)
-		out = append(out, Evicted{
-			Addr:    l.Addr,
-			Kind:    k,
-			Level:   lev,
-			Partial: l.ValidMask != cache.FullMask,
-		})
+	for _, l := range m.ref.Flush() {
+		out = append(out, evicted(l.Addr, uint64(l.Class)|uint64(l.ValidMask)<<8))
 	}
 	return out
 }

@@ -120,6 +120,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.DRAM == nil {
 		return nil, fmt.Errorf("engine: DRAM model is required")
 	}
+	if cfg.Meta != nil && cfg.Layout.TotalBytes() > cfg.Meta.Reach() {
+		return nil, fmt.Errorf("engine: layout spans %d B, beyond the %d B the metadata cache can address", cfg.Layout.TotalBytes(), cfg.Meta.Reach())
+	}
 	if cfg.HashLatency == 0 {
 		cfg.HashLatency = 40
 	}
@@ -160,10 +163,16 @@ func (e *Engine) ResetStats() {
 // Meta exposes the metadata cache (nil when absent).
 func (e *Engine) Meta() *metacache.MetaCache { return e.meta }
 
+// tap reports one metadata block request to Config.Tap. It is small
+// enough to inline, so an untapped engine pays only the nil check.
 func (e *Engine) tap(addr uint64, kind memlayout.Kind, write bool, cost uint64) {
-	if e.cfg.Tap == nil {
-		return
+	if e.cfg.Tap != nil {
+		e.emit(addr, kind, write, cost)
 	}
+}
+
+// emit calls Config.Tap with cost saturated to a byte.
+func (e *Engine) emit(addr uint64, kind memlayout.Kind, write bool, cost uint64) {
 	c := cost
 	if c > 255 {
 		c = 255

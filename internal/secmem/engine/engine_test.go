@@ -314,3 +314,22 @@ func TestHashThroughputBackpressure(t *testing.T) {
 		t.Errorf("slow hash engine (%d cycles) should exceed fast (%d)", slow, fast)
 	}
 }
+
+// TestNewRejectsLayoutBeyondReach pins the address bound: a layout
+// spanning more than the packed metadata-cache sets can address is
+// refused up front rather than run until a fill aliases another
+// block, while the unbounded reference path accepts it.
+func TestNewRejectsLayoutBeyondReach(t *testing.T) {
+	layout := memlayout.MustNew(memlayout.PoisonIvy, 1<<48)
+	cfg := metacache.Config{Size: 64 << 10, Ways: 8, Policy: policy.NewLRU()}
+	if layout.TotalBytes() <= metacache.MustNew(cfg).Reach() {
+		t.Fatalf("layout spans %d B, within the sets' reach", layout.TotalBytes())
+	}
+	if _, err := New(Config{Layout: layout, Meta: metacache.MustNew(cfg), DRAM: dram.MustNew(dram.Default())}); err == nil {
+		t.Error("packed metadata cache accepted a layout beyond its reach")
+	}
+	cfg.DisableFastPath = true
+	if _, err := New(Config{Layout: layout, Meta: metacache.MustNew(cfg), DRAM: dram.MustNew(dram.Default())}); err != nil {
+		t.Errorf("reference metadata cache refused the layout: %v", err)
+	}
+}

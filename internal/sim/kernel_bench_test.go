@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/maps-sim/mapsim/internal/cache/policy"
 	"github.com/maps-sim/mapsim/internal/hierarchy"
 	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/workload"
@@ -173,6 +174,70 @@ func BenchmarkBackConsume(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 		})
+	}
+}
+
+// BenchmarkBackGroup times the back stage the way a sweep's run group
+// pays for it: one recorded front feeds k = 8 members that differ only
+// in their metadata cache, at perfbench's grid sizes (4 KB to 512 KB,
+// 8 ways) under PLRU and under LRU. Each workload's front is recorded
+// once per length: 100K instructions, perfbench's sweep point, and
+// 2M, long enough for dirty LLC evictions to reach the engine's
+// writeback path (the sweep point has none). Each iteration builds the
+// k back ends with the timer stopped and times them consuming every
+// batch in turn, as runGroup does; ns/event is per member.
+func BenchmarkBackGroup(b *testing.B) {
+	const members = 8
+	for _, bench := range []string{"canneal", "perlbench", "lbm"} {
+		for _, length := range []struct {
+			name         string
+			instructions uint64
+		}{{"100K", 100_000}, {"2M", backInstructions}} {
+			for _, lru := range []bool{false, true} {
+				name := bench + "/plru/" + length.name
+				if lru {
+					name = bench + "/lru/" + length.name
+				}
+				b.Run(name, func(b *testing.B) {
+					cfgs := make([]Config, members)
+					for i := range cfgs {
+						cfgs[i] = Config{
+							Benchmark:    bench,
+							Instructions: length.instructions,
+							Secure:       true,
+							Speculation:  true,
+							Meta:         &metacache.Config{Size: 4 << 10 << i, Ways: 8},
+						}
+						if err := cfgs[i].fill(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					batches, events := recordEvents(b, &cfgs[0])
+					backs := make([]back, members)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						for j := range backs {
+							backs[j] = back{}
+							if lru {
+								cfgs[j].Meta.Policy = policy.NewLRU()
+							}
+							if err := backs[j].build(&cfgs[j], cfgs[0].Workload.Footprint()); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.StartTimer()
+						for _, evs := range batches {
+							for j := range backs {
+								backs[j].consume(evs)
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events*members), "ns/event")
+				})
+			}
+		}
 	}
 }
 

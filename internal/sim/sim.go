@@ -96,11 +96,11 @@ type Config struct {
 	Progress *obs.Progress
 
 	// DisableFastPath routes every cache (hierarchy levels and the
-	// metadata cache) through the generic Policy interface instead of
-	// the devirtualized fast path. The two paths are bit-identical by
-	// contract — this knob exists so the cross-check tests can prove
-	// it — so it is erased during canonicalization and never affects
-	// cached results.
+	// metadata cache) through cache.Cache's generic Policy interface
+	// instead of their own packed sets. The two paths are
+	// bit-identical by contract — this knob exists so the cross-check
+	// tests can prove it — so it is erased during canonicalization and
+	// never affects cached results.
 	DisableFastPath bool
 }
 

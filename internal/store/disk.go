@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -291,8 +292,13 @@ func (s *Store) diskGet(key results.Key, decode bool) ([]byte, any, bool) {
 	}
 	raw, env, err := decodeRecord(key, rec)
 	var v any
-	if err == nil && decode {
+	switch {
+	case err != nil:
+	case decode:
 		v, err = env.Value()
+	case !json.Valid(env.Payload):
+		// Decode leaves an Encode-layout payload to Value to scan.
+		err = corrupt("payload is not JSON")
 	}
 	if err != nil {
 		s.quarantine(key, e, rec, err)

@@ -29,6 +29,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -145,33 +146,48 @@ func Encode(key results.Key, value any) ([]byte, error) {
 	return append(buf, '}'), nil
 }
 
-// Decode parses and validates envelope bytes: well-formed JSON, the
-// current format version, a valid key, a known kind, and a payload
-// whose SHA-256 matches the recorded checksum. Every failure wraps
-// ErrCorrupt so callers can quarantine rather than crash.
+// Decode parses and validates envelope bytes laid out as Encode writes
+// them: the current format version, a valid key, a known kind, a
+// creation time, and a payload whose SHA-256 matches the recorded
+// checksum. Every failure wraps ErrCorrupt, naming the field that
+// failed, so callers can quarantine rather than crash. The payload
+// (aliasing data) is not scanned here: Value parses it, and the disk
+// tier checks it is JSON before serving it unparsed.
 func Decode(data []byte) (*Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, corrupt("bad JSON: %v", err)
+	p, ok := bytes.CutPrefix(data, encodedPrefix)
+	if !ok {
+		return nil, corrupt("not a version %d envelope", Version)
 	}
-	if env.Version != Version {
-		return nil, corrupt("version %d (want %d)", env.Version, Version)
+	if len(p) < keyLen || !ValidKey(results.Key(p[:keyLen])) {
+		return nil, corrupt("invalid key")
 	}
-	if !ValidKey(results.Key(env.Key)) {
-		return nil, corrupt("invalid key %q", env.Key)
+	env := &Envelope{Version: Version, Key: string(p[:keyLen])}
+	var kind, created, sum []byte
+	if p, ok = bytes.CutPrefix(p[keyLen:], []byte(`","kind":"`)); !ok {
+		return nil, corrupt("no kind")
 	}
-	if env.Kind != KindRun && env.Kind != KindSuite {
-		return nil, corrupt("unknown kind %q", env.Kind)
+	if kind, p, ok = bytes.Cut(p, []byte(`","created":"`)); !ok || (string(kind) != KindRun && string(kind) != KindSuite) {
+		return nil, corrupt("bad kind or no created time")
 	}
-	if len(env.Payload) == 0 {
-		return nil, corrupt("empty payload")
+	if created, p, ok = bytes.Cut(p, []byte(`","checksum":"`)); !ok || bytes.ContainsAny(created, `"\`) || env.Created.UnmarshalText(created) != nil {
+		return nil, corrupt("bad created time or no checksum")
 	}
-	sum := sha256.Sum256(env.Payload)
-	if got := hex.EncodeToString(sum[:]); got != env.Checksum {
-		return nil, corrupt("checksum mismatch (payload %s, recorded %s)", got, env.Checksum)
+	if sum, p, ok = bytes.Cut(p, []byte(`","payload":`)); !ok || len(sum) != 2*sha256.Size {
+		return nil, corrupt("bad checksum or no payload")
 	}
-	return &env, nil
+	if len(p) < 2 || p[len(p)-1] != '}' {
+		return nil, corrupt("empty or unterminated payload")
+	}
+	env.Kind, env.Checksum, env.Payload = string(kind), string(sum), p[:len(p)-1]
+	got := sha256.Sum256(env.Payload)
+	if hex.EncodeToString(got[:]) != env.Checksum {
+		return nil, corrupt("checksum mismatch (payload %x, recorded %s)", got, env.Checksum)
+	}
+	return env, nil
 }
+
+// encodedPrefix opens every envelope Encode writes.
+var encodedPrefix = []byte(`{"version":` + strconv.Itoa(Version) + `,"key":"`)
 
 // Value decodes the payload into its Go type: *sim.Result for
 // KindRun, *sim.SuiteResult for KindSuite.

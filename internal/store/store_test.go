@@ -94,6 +94,12 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if std, err := json.Marshal(env); err != nil || !bytes.Equal(data, std) {
 		t.Fatalf("Encode differs from json.Marshal of its envelope:\n%s\n%s", data, std)
 	}
+	// Decode reads Encode's layout field by field, without scanning
+	// the payload; it must read what general JSON decoding reads.
+	var std Envelope
+	if err := json.Unmarshal(data, &std); err != nil || !reflect.DeepEqual(*env, std) {
+		t.Fatalf("field-by-field decode differs from json.Unmarshal (%v)", err)
+	}
 	v, err := env.Value()
 	if err != nil {
 		t.Fatal(err)
