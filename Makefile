@@ -77,7 +77,7 @@ race:
 # access streams, one the metadata cache's packed sets to cache.Cache
 # with the same PLRU or LRU policy on fuzzer-chosen geometries,
 # partitions, partial-write settings and access streams, and the last
-# the engine's flat split-counter table to a per-page map on
+# the engine's two-tier split-counter table to a per-page map on
 # fuzzer-chosen layouts and write streams.
 # Enough to catch regressions on malformed or adversarial input without
 # slowing the gate meaningfully. Fuzz corpus findings land in each

@@ -43,8 +43,9 @@ func TestReadWritebackZeroAllocs(t *testing.T) {
 // per-page object, no index growth.
 func TestWritebackWrittenPageZeroAllocs(t *testing.T) {
 	e, _ := newEngine(t, 32<<10, false)
-	if e.counters.index != nil || e.counters.chunks != nil {
-		t.Fatalf("New allocated a counter table: %d index slots, %d chunks", len(e.counters.index), len(e.counters.chunks))
+	if e.counters.leaves != nil || e.counters.small.chunks != nil || e.counters.full.chunks != nil {
+		t.Fatalf("New allocated a counter table: %d leaves, %d nibble chunks, %d full chunks",
+			len(e.counters.leaves), len(e.counters.small.chunks), len(e.counters.full.chunks))
 	}
 	pages := []uint64{9000, 3, 700, 12000, 41}
 	for _, p := range pages {

@@ -523,7 +523,7 @@ func (e *Engine) increment(dataAddr uint64) bool {
 	}
 	// A PoisonIvy counter block covers one page: the page number is
 	// the counter block's number.
-	return e.counters.block(dataAddr / memlayout.PageSize).Increment(e.layout.CounterSlot(dataAddr))
+	return e.counters.increment(dataAddr/memlayout.PageSize, e.layout.CounterSlot(dataAddr))
 }
 
 // reencryptPage models a split-counter overflow: every block of the

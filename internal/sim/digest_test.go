@@ -69,16 +69,19 @@ var pinnedDigests = []struct {
 }
 
 // TestResultDigestsPinned runs each pinned config inline and
-// pipelined and requires both to reproduce the recorded digest.
+// pipelined and requires both to reproduce the recorded digest and to
+// keep the accounting identities (checkIdentities).
 func TestResultDigestsPinned(t *testing.T) {
 	forcePipelined(t)
 	for _, tc := range pinnedDigests {
 		t.Run(tc.name, func(t *testing.T) {
 			for placement, ctx := range map[string]context.Context{"inline": inlineCtx(), "pipelined": context.Background()} {
-				res, err := RunContext(ctx, tc.cfg(t))
+				cfg := tc.cfg(t)
+				res, err := RunContext(ctx, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", placement, err)
 				}
+				checkIdentities(t, cfg, res)
 				if got := digestOf(t, res); got != tc.want {
 					t.Errorf("%s: digest %s, want %s", placement, got, tc.want)
 				}

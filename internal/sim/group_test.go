@@ -27,9 +27,10 @@ import (
 // group's back stage inline and pipelined.
 
 // groupTwin runs every config alone (inline), then all of them as one
-// group under ctx, and fails unless each member's Result equals its
-// separate run apart from Timing. mks are called once per run so
-// stateful policies and partitions are never shared.
+// group under ctx, and fails if a member's Result differs from its
+// separate run apart from Timing or breaks an accounting identity
+// (checkIdentities). mks are called once per run so stateful policies
+// and partitions are never shared.
 func groupTwin(t *testing.T, ctx context.Context, mks []func() Config) []*Result {
 	t.Helper()
 	alone := make([]*Result, len(mks))
@@ -55,6 +56,7 @@ func groupTwin(t *testing.T, ctx context.Context, mks []func() Config) []*Result
 		if !reflect.DeepEqual(alone[i], got[i]) {
 			t.Errorf("member %d diverges from its separate run\nalone: %+v\ngroup: %+v", i, alone[i], got[i])
 		}
+		checkIdentities(t, group[i], got[i])
 	}
 	return got
 }
