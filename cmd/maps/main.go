@@ -15,7 +15,9 @@
 // mapsd daemon's POST /v1/sweeps endpoint; `maps sweep -h` lists its
 // flags. The run verb executes one simulation of a named benchmark,
 // a declarative workload spec (docs/WORKLOADS.md), or a recorded
-// trace replayed in constant memory; `maps run -h` lists its flags.
+// trace replayed in constant memory — or, with -suite, one per
+// registered benchmark — locally or on mapsd; `maps run -h` lists its
+// flags.
 //
 // Experiments: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7, plus
 // the extensions ablate-partial, content-matrix, org-compare, csopt,

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/maps-sim/mapsim/internal/server"
 )
 
 const testSpecYAML = `
@@ -113,7 +118,8 @@ func TestRunFlagValidation(t *testing.T) {
 // TestRunMetaDefaults: a local run given only some metadata-cache
 // flags gets the same defaults a daemon run does — Table I's 8 ways,
 // and a 64KB cache when -meta is absent — instead of failing on an
-// unset associativity.
+// unset associativity. The README's documented invocations run here
+// too, so a doc example cannot break unseen.
 func TestRunMetaDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -123,20 +129,78 @@ func TestRunMetaDefaults(t *testing.T) {
 	if err := os.WriteFile(specPath, []byte(testSpecYAML), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cases := [][]string{
-		{"run", "-bench", "lbm", "-meta", "64KB"},
-		{"run", "-bench", "lbm", "-content", "all"},
-		{"run", "-workload-spec", specPath, "-meta", "128KB", "-json"},
+	cases := []struct {
+		args []string
+		want string // in stdout
+	}{
+		{[]string{"run", "-bench", "lbm", "-meta", "64KB"}, "meta hit rate"},
+		{[]string{"run", "-bench", "lbm", "-content", "all"}, "meta hit rate"},
+		{[]string{"run", "-workload-spec", specPath, "-meta", "128KB", "-json"}, `"meta": {`},
+		// README's "Single-run CLI" block.
+		{[]string{"run", "-bench", "canneal", "-meta", "64KB", "-policy", "eva", "-content", "all", "-partial-writes"}, "metadata cache by kind"},
+		{[]string{"run", "-suite", "-meta", "64KB"}, "geomean"},
+		{[]string{"run", "-list"}, "streamcluster"},
 	}
-	for _, args := range cases {
-		args = append(args, "-instructions", "100000")
+	for _, tc := range cases {
+		args := append(tc.args, "-instructions", "100000")
 		stdout, stderr, err := runMaps(t, bin, args...)
 		if err != nil {
 			t.Errorf("maps %s: %v\n%s", strings.Join(args, " "), err, stderr)
 			continue
 		}
-		if !strings.Contains(stdout, "meta hit rate") && !strings.Contains(stdout, `"meta": {`) {
-			t.Errorf("maps %s simulated no metadata cache:\n%s", strings.Join(args, " "), stdout)
+		if !strings.Contains(stdout, tc.want) {
+			t.Errorf("maps %s: stdout lacks %q:\n%s", strings.Join(args, " "), tc.want, stdout)
 		}
+	}
+}
+
+// TestRunLocalMatchesDaemon: every `maps run` flag gives the same
+// -json Result locally and with -remote against an in-process mapsd,
+// because both paths build their run from one wire spec. Timing is
+// already zeroed by the command.
+func TestRunLocalMatchesDaemon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildMaps(t)
+	specPath := filepath.Join(t.TempDir(), "mix.yaml")
+	if err := os.WriteFile(specPath, []byte(testSpecYAML), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	cases := map[string][]string{
+		"bench":          {"-bench", "canneal"},
+		"workload spec":  {"-workload-spec", specPath, "-meta", "32KB"},
+		"meta geometry":  {"-bench", "lbm", "-meta", "16KB", "-ways", "4", "-content", "counters+hashes"},
+		"policy":         {"-bench", "canneal", "-meta", "32KB", "-policy", "eva"},
+		"sgx":            {"-bench", "mcf", "-org", "sgx", "-meta", "64KB"},
+		"partial writes": {"-bench", "lbm", "-meta", "64KB", "-partial-writes"},
+		"no speculation": {"-bench", "canneal", "-meta", "64KB", "-speculation=false"},
+		"insecure":       {"-bench", "canneal", "-secure=false"},
+		"suite":          {"-suite", "-meta", "16KB"},
+	}
+	for name, flags := range cases {
+		t.Run(name, func(t *testing.T) {
+			args := append([]string{"run", "-json", "-instructions", "30000"}, flags...)
+			local, stderr, err := runMaps(t, bin, args...)
+			if err != nil {
+				t.Fatalf("local: %v\n%s", err, stderr)
+			}
+			remote, stderr, err := runMaps(t, bin, append(args, "-remote", ts.URL)...)
+			if err != nil {
+				t.Fatalf("remote: %v\n%s", err, stderr)
+			}
+			if local != remote {
+				t.Errorf("local and daemon results differ:\nlocal:  %s\ndaemon: %s", local, remote)
+			}
+		})
 	}
 }

@@ -25,10 +25,11 @@ import (
 
 	"github.com/maps-sim/mapsim/internal/cliutil"
 	"github.com/maps-sim/mapsim/internal/memlayout"
-	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/reuse"
+	"github.com/maps-sim/mapsim/internal/server"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/stats"
+	"github.com/maps-sim/mapsim/internal/sweep"
 	"github.com/maps-sim/mapsim/internal/trace"
 	"github.com/maps-sim/mapsim/internal/workload"
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
@@ -90,17 +91,20 @@ func record(args []string) error {
 		return err
 	}
 
-	var tr trace.Trace
-	cfg := sim.Config{
-		Benchmark:    *bench,
-		Instructions: *instructions,
-		Secure:       true,
-		Speculation:  true,
-		Tap:          tr.Append,
-	}
+	cs := server.ConfigSpec{Benchmark: *bench, Instructions: *instructions, Speculation: true}
 	if size > 0 {
-		cfg.Meta = &metacache.Config{Size: size, Ways: 8}
+		cs.Meta = &server.MetaSpec{Size: server.ByteSize(size)}
 	}
+	p, err := cs.Point()
+	if err != nil {
+		return err
+	}
+	cfg, err := sweep.Instantiate(p)
+	if err != nil {
+		return err
+	}
+	var tr trace.Trace
+	cfg.Tap = tr.Append
 	if _, err := sim.Run(cfg); err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func main() {
 			Instructions: 1_000_000,
 			Secure:       true,
 			Speculation:  true,
-			Meta:         &mapsim.MetaConfig{Size: 64 << 10, Ways: 8},
+			Meta:         &mapsim.MetaConfig{Size: 64 << 10},
 		})
 		if err != nil {
 			log.Fatal(err)

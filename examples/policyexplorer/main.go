@@ -34,7 +34,7 @@ func main() {
 			Instructions: *instructions,
 			Secure:       true,
 			Speculation:  true,
-			Meta:         &mapsim.MetaConfig{Size: size, Ways: 8, Policy: p},
+			Meta:         &mapsim.MetaConfig{Size: size, Policy: p},
 			Tap:          tap,
 		})
 		if err != nil {

@@ -27,11 +27,8 @@ func main() {
 		Instructions: instructions,
 		Secure:       true,
 		Speculation:  true, // PoisonIvy-style: hide verification latency
-		Meta: &mapsim.MetaConfig{
-			Size:    64 << 10,
-			Ways:    8,
-			Content: mapsim.AllTypes,
-		},
+		// Table I's metadata cache: 64 KB, 8 ways (the default).
+		Meta: &mapsim.MetaConfig{Size: 64 << 10, Content: mapsim.AllTypes},
 	})
 	if err != nil {
 		log.Fatal(err)

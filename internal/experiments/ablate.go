@@ -43,7 +43,7 @@ func AblatePartial(opt Options) (*AblatePartialResult, error) {
 			Instructions: opt.Instructions,
 			Secure:       true,
 			Speculation:  true,
-			Meta:         &metacache.Config{Size: 64 << 10, Ways: 8},
+			Meta:         &metacache.Config{Size: 64 << 10},
 		},
 		Axes: sweep.Axes{
 			Benchmarks:    benches,
@@ -154,7 +154,7 @@ func ContentMatrix(opt Options) (*ContentMatrixResult, error) {
 					Instructions: opt.Instructions,
 					Secure:       true,
 					Speculation:  true,
-					Meta:         &metacache.Config{Size: 128 << 10, Ways: 8, Content: c},
+					Meta:         &metacache.Config{Size: 128 << 10, Content: c},
 				},
 				out: slot,
 			})
@@ -229,7 +229,7 @@ func OrgCompare(opt Options) (*OrgCompareResult, error) {
 					Secure:       true,
 					Speculation:  true,
 					Org:          org,
-					Meta:         &metacache.Config{Size: 64 << 10, Ways: 8},
+					Meta:         &metacache.Config{Size: 64 << 10},
 				},
 				out: slot,
 			})

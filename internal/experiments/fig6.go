@@ -90,7 +90,7 @@ func fig6Bench(ctx context.Context, bench string, instructions uint64) (map[stri
 			Instructions: instructions,
 			Secure:       true,
 			Speculation:  true,
-			Meta:         &metacache.Config{Size: Fig6CacheSize, Ways: 8, Policy: p},
+			Meta:         &metacache.Config{Size: Fig6CacheSize, Policy: p},
 			Tap:          tap,
 		}
 	}

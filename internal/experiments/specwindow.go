@@ -65,7 +65,7 @@ func SpecWindow(opt Options) (*SpecWindowResult, error) {
 					SpeculationWindow: w,
 				}
 				if m > 0 {
-					cfg.Meta = &metacache.Config{Size: m, Ways: 8}
+					cfg.Meta = &metacache.Config{Size: m}
 				}
 				slot := new(*sim.Result)
 				results[key{b, w, m}] = slot

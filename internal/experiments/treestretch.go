@@ -61,7 +61,7 @@ func TreeStretch(opt Options) (*TreeStretchResult, error) {
 			}
 			if cached {
 				r.name = "cached"
-				cfg.Meta = &metacache.Config{Size: 64 << 10, Ways: 8}
+				cfg.Meta = &metacache.Config{Size: 64 << 10}
 			}
 			runs = append(runs, r)
 			jobList = append(jobList, job{cfg: cfg, out: &r.out})

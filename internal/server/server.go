@@ -449,11 +449,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Type == "" {
 		req.Type = TypeRun
 	}
-	cfg, err := req.Config.ToSim()
+	point, err := req.Config.Point()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad config: %v", err)
 		return
 	}
+	cfg := point.Config
 	timeout := time.Duration(req.TimeoutSec * float64(time.Second))
 
 	var key results.Key
@@ -473,17 +474,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		pol, part, err := req.Config.pointNames()
+		key, err = sweep.PointKey(point)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad config: %v", err)
 			return
 		}
-		key, err = results.PointKeyFor(cfg, pol, part)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad config: %v", err)
-			return
-		}
-		fn = s.runFn(cfg, pol, part, key, prog)
+		fn = s.runFn(point, key, prog)
 	case TypeSuite:
 		if req.Config.Workload != nil {
 			// A suite varies the benchmark; a base workload spec would
@@ -491,7 +487,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "suite jobs cannot set config.workload")
 			return
 		}
-		if req.Config.Meta != nil && (req.Config.Meta.Policy != "" || req.Config.Meta.Partition != "") {
+		if point.Policy != "" || point.Partition != "" {
 			// Suites share one config across the fan-out; stateful
 			// policy instances must not be shared, so suites always
 			// run the defaults.
@@ -610,12 +606,12 @@ func (s *Server) jobCtx(ctx context.Context, typ string, attrs ...any) context.C
 // policy/partition fresh per attempt (sweep.Instantiate — retries
 // must never see a warmed instance), run under ctx, account
 // throughput and phase timings, populate the cache.
-func (s *Server) runFn(cfg sim.Config, policy, partition string, key results.Key, prog *obs.Progress) jobs.Fn {
-	cfg.Progress = prog
+func (s *Server) runFn(p sweep.Point, key results.Key, prog *obs.Progress) jobs.Fn {
+	p.Config.Progress = prog
 	return func(ctx context.Context) (any, error) {
 		defer s.clearInflight(key, jobs.IDFromContext(ctx))
-		ctx = s.jobCtx(ctx, TypeRun, "benchmark", cfg.Benchmark)
-		runCfg, err := sweep.Instantiate(sweep.Point{Config: cfg, Policy: policy, Partition: partition})
+		ctx = s.jobCtx(ctx, TypeRun, "benchmark", p.Benchmark)
+		runCfg, err := sweep.Instantiate(p)
 		if err != nil {
 			return nil, err
 		}

@@ -276,6 +276,39 @@ func TestIdenticalPostServedFromCache(t *testing.T) {
 	waitDone(t, ts, fourth.ID)
 }
 
+// TestRunJobPolicyKeys: a run job's policy name is part of its content
+// address — fifo keys apart from the pseudo-LRU default and runs as
+// fifo — while an explicit "plru" keys with the default it names.
+func TestRunJobPolicyKeys(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	run := func(policy string) (JobStatus, *JobResult) {
+		t.Helper()
+		st, resp := postJob(t, ts, `{"config":{"benchmark":"canneal","instructions":50000,"meta":{"size":"16KB","policy":"`+policy+`"}}}`)
+		if resp.StatusCode >= 300 {
+			t.Fatalf("policy %q: status %d", policy, resp.StatusCode)
+		}
+		waitDone(t, ts, st.ID)
+		var res JobResult
+		getJSON(t, ts, "/v1/jobs/"+st.ID+"/result", &res)
+		if res.Run == nil {
+			t.Fatalf("policy %q: no run result", policy)
+		}
+		return st, &res
+	}
+	def, defRes := run("")
+	plru, _ := run("plru")
+	fifo, fifoRes := run("fifo")
+	if plru.Key != def.Key {
+		t.Errorf("explicit plru keyed %s, the default %s", plru.Key, def.Key)
+	}
+	if fifo.Key == def.Key {
+		t.Fatal("fifo keyed with the plru default")
+	}
+	if fifoRes.Run.MetaMPKI == defRes.Run.MetaMPKI {
+		t.Errorf("fifo and plru both simulated meta MPKI %v", defRes.Run.MetaMPKI)
+	}
+}
+
 func TestSuiteEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	body := `{"type":"suite","config":{"instructions":30000},"benchmarks":["libquantum","fft"],"parallelism":2}`

@@ -84,14 +84,20 @@ type SweepRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// toSpec translates the wire request into a sweep spec.
+// toSpec translates the wire request into a sweep spec. A base that
+// names a non-default policy or partition is refused, as Spec.Expand
+// refuses one that carries an instance: a sweep varies them by name
+// on its axes, and the base's config has no field to hold them.
 func (r SweepRequest) toSpec() (sweep.Spec, error) {
-	base, err := r.Base.ToSim()
+	base, err := r.Base.Point()
 	if err != nil {
 		return sweep.Spec{}, err
 	}
+	if base.Policy != "" || base.Partition != "" {
+		return sweep.Spec{}, errors.New("sweep: name policies and partitions on the axes, not in base.meta")
+	}
 	return sweep.Spec{
-		Base:    base,
+		Base:    base.Config,
 		NoCache: r.NoCache,
 		Axes: sweep.Axes{
 			Benchmarks:    r.Axes.Benchmarks,

@@ -174,6 +174,27 @@ func TestSweepBadRequests(t *testing.T) {
 	}
 }
 
+// TestSweepBasePolicyRejected: a sweep base naming a replacement
+// policy or partition is refused, as sweep.Spec.Expand refuses a base
+// carrying an instance, instead of running (and keying) the default
+// in its place.
+func TestSweepBasePolicyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheEntries: 4})
+	for _, meta := range []string{`"policy": "eva"`, `"partition": "static:2"`} {
+		body := `{"base": {"instructions": 1000, "meta": {"size": "64KB", ` + meta + `}}, "axes": {"benchmarks": ["fft"]}}`
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "axes") {
+			t.Errorf("base meta {%s}: got %d %q, want 400 naming the axes", meta, resp.StatusCode, e.Error)
+		}
+	}
+}
+
 func TestSweepCancelMidRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheEntries: 8})
 	// One worker and several slow points keep the sweep running long

@@ -59,7 +59,8 @@ func (b *ByteSize) UnmarshalJSON(data []byte) error {
 // exactly the same content address a local run would.
 type MetaSpec struct {
 	Size ByteSize `json:"size"`
-	// Ways defaults to 8 (Table I).
+	// Ways is the associativity; zero takes Table I's 8, the default
+	// sim.Config fills for every entry point.
 	Ways int `json:"ways,omitempty"`
 	// Content names the content policy ("counters",
 	// "counters+hashes", "all", ...); empty means all.
@@ -113,7 +114,9 @@ type ConfigSpec struct {
 	BaseCPI           float64        `json:"base_cpi,omitempty"`
 }
 
-// ToSim translates the wire config into a sim.Config.
+// ToSim translates the wire config into a sim.Config, leaving zero
+// fields for sim to default. The replacement-policy and partition
+// names have no sim.Config field; Point carries them.
 func (c ConfigSpec) ToSim() (sim.Config, error) {
 	cfg := sim.Config{
 		Benchmark:         c.Benchmark,
@@ -152,18 +155,31 @@ func (c ConfigSpec) ToSim() (sim.Config, error) {
 		if err != nil {
 			return sim.Config{}, err
 		}
-		ways := c.Meta.Ways
-		if ways == 0 {
-			ways = 8
-		}
 		cfg.Meta = &metacache.Config{
 			Size:          int(c.Meta.Size),
-			Ways:          ways,
+			Ways:          c.Meta.Ways,
 			Content:       content,
 			PartialWrites: c.Meta.PartialWrites,
 		}
 	}
 	return cfg, nil
+}
+
+// Point returns the run the wire config describes as a validated
+// sweep point: ToSim's config plus pointNames' replacement-policy and
+// partition names. Every entry point that runs a ConfigSpec builds it
+// here, then keys it with sweep.PointKey and runs it through
+// sweep.Instantiate.
+func (c ConfigSpec) Point() (sweep.Point, error) {
+	cfg, err := c.ToSim()
+	if err != nil {
+		return sweep.Point{}, err
+	}
+	pol, part, err := c.pointNames()
+	if err != nil {
+		return sweep.Point{}, err
+	}
+	return sweep.Point{Benchmark: cfg.Benchmark, Secure: cfg.Secure, Policy: pol, Partition: part, Config: cfg}, nil
 }
 
 // pointNames extracts and validates the config's replacement-policy

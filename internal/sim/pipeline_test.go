@@ -48,7 +48,8 @@ func inlineCtx() context.Context { return WithConcurrency(context.Background(), 
 // unless the two Results are bit-identical. Timing describes how the
 // run executed, not what it simulated, so it is zeroed before the
 // comparison. mk is called once per run so stateful policies are
-// never shared. It returns the pipelined Result.
+// never shared. The pipelined Result must also keep the traffic
+// identities (checkIdentities); runTwin returns it.
 func runTwin(t *testing.T, mk func() Config) *Result {
 	t.Helper()
 	cfg := mk()
@@ -67,6 +68,7 @@ func runTwin(t *testing.T, mk func() Config) *Result {
 	if !reflect.DeepEqual(in, piped) {
 		t.Errorf("pipelined result diverges from inline\ninline:    %+v\npipelined: %+v", in, piped)
 	}
+	checkIdentities(t, cfg, piped)
 	return piped
 }
 

@@ -68,7 +68,8 @@ type Config struct {
 	// Org selects the counter organization.
 	Org memlayout.Organization
 	// Meta configures the metadata cache; nil simulates no metadata
-	// cache (every metadata access goes to memory).
+	// cache (every metadata access goes to memory). Zero Ways selects
+	// Table I's 8, and zero Content caches every kind.
 	Meta *metacache.Config
 	// Speculation hides verification latency (PoisonIvy).
 	Speculation bool
@@ -178,13 +179,6 @@ func (c Config) Canonical() (Config, error) {
 		metaCopy := *c.Meta
 		c.Meta = &metaCopy
 		c.Meta.DisableFastPath = false
-		if c.Meta.Content == 0 {
-			// metacache.New defaults an unset content policy to
-			// AllTypes; mirror it so a zero and an explicit AllTypes
-			// config — which simulate identically — hash identically
-			// (the fleet's wire round-trip depends on this).
-			c.Meta.Content = metacache.AllTypes
-		}
 	}
 	c.fillDefaults()
 	// The fast and generic paths produce bit-identical results, so the
@@ -215,6 +209,19 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Hierarchy == (hierarchy.Config{}) {
 		c.Hierarchy = hierarchy.Default()
+	}
+	if m := c.Meta; m != nil && (m.Ways == 0 || m.Content == 0) {
+		// Table I's metadata cache is 8-way and may hold every kind,
+		// so a zero and an explicit default simulate — and hash —
+		// identically. Fill a copy: Meta is the caller's.
+		mc := *m
+		if mc.Ways == 0 {
+			mc.Ways = 8
+		}
+		if mc.Content == 0 {
+			mc.Content = metacache.AllTypes
+		}
+		c.Meta = &mc
 	}
 	if c.DRAM == (dram.Config{}) {
 		c.DRAM = dram.Default()

@@ -256,21 +256,28 @@ const (
 // PolicyNames lists the replacement policies a sweep can name, the
 // default first.
 func PolicyNames() []string {
-	return []string{"plru", "lru", "srrip", "eva", "eva-pertype", "typepred"}
+	return []string{"plru", "lru", "fifo", "random", "srrip", "brrip", "eva", "eva-pertype", "typepred"}
 }
 
 // NewPolicy builds a fresh replacement-policy instance for the given
 // name ("" means the plru default, which returns nil — the metadata
-// cache's own default). Policies are stateful, so every run must get
-// its own instance; this is the only constructor Instantiate uses.
+// cache's own default; "random" is seeded 1, so its runs repeat).
+// Policies are stateful, so every run must get its own instance; this
+// is the only constructor Instantiate uses.
 func NewPolicy(name string) (cache.Policy, error) {
 	switch name {
 	case "", DefaultPolicy:
 		return nil, nil
 	case "lru":
 		return policy.NewLRU(), nil
+	case "fifo":
+		return policy.NewFIFO(), nil
+	case "random":
+		return policy.NewRandom(1), nil
 	case "srrip":
 		return policy.NewSRRIP(), nil
+	case "brrip":
+		return policy.NewBRRIP(), nil
 	case "eva":
 		return eva.New(eva.Config{}), nil
 	case "eva-pertype":
@@ -495,7 +502,7 @@ func (s Spec) materialize(bench string, ws *spec.Spec, secure bool, llc, meta in
 	case meta == 0:
 		cfg.Meta = nil
 	case meta > 0:
-		mc := metacache.Config{Ways: 8}
+		var mc metacache.Config
 		if s.Base.Meta != nil {
 			mc = *s.Base.Meta
 		}

@@ -133,6 +133,12 @@ func TestPolicyPartitionConstructors(t *testing.T) {
 			t.Errorf("NewPolicy(%q): %v", name, err)
 		}
 	}
+	// Non-default names build real instances, never the nil default.
+	for _, name := range []string{"fifo", "random", "brrip"} {
+		if p, err := NewPolicy(name); err != nil || p == nil {
+			t.Errorf("NewPolicy(%q) = %v, %v; want a fresh instance", name, p, err)
+		}
+	}
 	if p, err := NewPolicy(""); err != nil || p != nil {
 		t.Errorf("NewPolicy(\"\") = %v, %v; want nil, nil", p, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/fleet"
-	"github.com/maps-sim/mapsim/internal/results"
 	"github.com/maps-sim/mapsim/internal/server"
 	"github.com/maps-sim/mapsim/internal/sweep"
 )
@@ -67,15 +66,15 @@ func (w *WorkerRunner) Run(ctx context.Context, p sweep.Point, timeout time.Dura
 	// Round-trip verification: decoding our own wire spec must yield
 	// the point's exact content address, or the remote would compute
 	// (and store) something subtly different.
-	localKey, err := results.PointKeyFor(p.Config, pol, part)
+	localKey, err := sweep.PointKey(p)
 	if err != nil {
 		return nil, fmt.Errorf("point %s: %w", p, err)
 	}
-	rtCfg, err := spec.ToSim()
+	rt, err := spec.Point()
 	if err != nil {
 		return nil, fmt.Errorf("point %s: wire round-trip: %w", p, err)
 	}
-	rtKey, err := results.PointKeyFor(rtCfg, pol, part)
+	rtKey, err := sweep.PointKey(rt)
 	if err != nil {
 		return nil, fmt.Errorf("point %s: wire round-trip: %w", p, err)
 	}
