@@ -7,10 +7,12 @@ GO ?= go
 
 # Packages with real concurrency (worker pool, server, suite fan-out,
 # result cache, fault injection, sweep executor tests, tiered result
-# store, fleet coordinator, sweep journal, and the root package's fleet
-# and crash e2e tests) — the ones -race can actually catch regressions in.
-# The server and journal lists include the chaos tests.
-RACE_PKGS := ./internal/server ./internal/jobs ./internal/results ./internal/sim ./internal/faults ./internal/sweep ./internal/store ./internal/fleet ./internal/journal ./internal/trace ./internal/workload ./internal/workload/spec .
+# store, fleet coordinator, sweep journal, the experiments' plans —
+# whose Taps and done steps run on the executor's pool goroutines —
+# and the root package's fleet and crash e2e tests) — the ones -race
+# can actually catch regressions in. The server and journal lists
+# include the chaos tests.
+RACE_PKGS := ./internal/server ./internal/jobs ./internal/results ./internal/sim ./internal/faults ./internal/sweep ./internal/store ./internal/fleet ./internal/journal ./internal/trace ./internal/workload ./internal/workload/spec ./internal/experiments .
 
 # Twin tests pinning the pipelined placement of a run's back stage to
 # the inline one (internal/sim/pipeline_test.go and friends), the run

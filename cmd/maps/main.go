@@ -34,9 +34,14 @@
 //	-v                    verbose structured logs on stderr
 //	-log-format text|json log output format (default text)
 //
-// Running more than one experiment (including `maps all`) appends a
-// per-experiment wall-clock timing table; with -json the same data is
-// emitted as a final {"timing": [...]} object.
+// Experiments named together (including `maps all`) run as one: their
+// simulations share one executor, so a benchmark front several of them
+// need is simulated once per run group. Each experiment reports its
+// host time — its runs' share of the simulation time plus its own
+// finish and render steps — and a multi-experiment run ends with a
+// timing table of those host times and the run's wall clock; with
+// -json the same data is a final {"timing": [...], "wall_sec": ...}
+// object.
 package main
 
 import (
@@ -92,31 +97,31 @@ func main() {
 	if len(names) == 1 && names[0] == "all" {
 		names = experiments.Names()
 	}
-	reports := make([]*experiments.Report, 0, len(names))
-	for _, name := range names {
-		logger.Debug("experiment start", "experiment", name)
-		rep, err := experiments.Run(name, opt, *withPlot)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "maps: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		logger.Info("experiment done", "experiment", name, "elapsed", rep.Elapsed)
+	logger.Debug("experiments start", "experiments", names)
+	start := time.Now()
+	reports, err := experiments.RunMany(names, opt, *withPlot)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "maps: %v\n", err)
+		os.Exit(1)
+	}
+	wall := time.Since(start)
+	for _, rep := range reports {
+		logger.Info("experiment done", "experiment", rep.Name, "host", rep.Elapsed)
 		if err := emit(rep, *asJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "maps: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "maps: %s: %v\n", rep.Name, err)
 			os.Exit(1)
 		}
-		reports = append(reports, rep)
 	}
 	if len(reports) > 1 {
-		if err := emitTiming(reports, *asJSON); err != nil {
+		if err := emitTiming(reports, wall, *asJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "maps: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// emit prints one experiment's output: indented JSON (timing on
-// stderr, keeping stdout pure) or the rendered tables plus chart.
+// emit prints one experiment's output: indented JSON (its host time
+// on stderr, keeping stdout pure) or the rendered tables plus chart.
 func emit(rep *experiments.Report, asJSON bool) error {
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -124,21 +129,22 @@ func emit(rep *experiments.Report, asJSON bool) error {
 		if err := enc.Encode(rep); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", rep.Name, rep.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s took %v of host time]\n", rep.Name, rep.Elapsed.Round(time.Millisecond))
 		return nil
 	}
 	fmt.Println(rep.Table)
 	if rep.Chart != "" {
 		fmt.Println(rep.Chart)
 	}
-	fmt.Printf("[%s completed in %v]\n\n", rep.Name, rep.Elapsed.Round(time.Millisecond))
+	fmt.Printf("[%s took %v of host time]\n\n", rep.Name, rep.Elapsed.Round(time.Millisecond))
 	return nil
 }
 
-// emitTiming summarizes wall-clock time across a multi-experiment run
-// (`maps all`): a table on stdout, or a final {"timing": [...]}
-// object in -json mode.
-func emitTiming(reports []*experiments.Report, asJSON bool) error {
+// emitTiming summarizes a multi-experiment run (`maps all`): each
+// experiment's host time and the run's wall clock, as a table on
+// stdout or, in -json mode, a final {"timing": [...], "wall_sec": ...}
+// object.
+func emitTiming(reports []*experiments.Report, wall time.Duration, asJSON bool) error {
 	if asJSON {
 		type row struct {
 			Experiment string  `json:"experiment"`
@@ -150,16 +156,14 @@ func emitTiming(reports []*experiments.Report, asJSON bool) error {
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(map[string]any{"timing": rows})
+		return enc.Encode(map[string]any{"timing": rows, "wall_sec": wall.Seconds()})
 	}
-	var total time.Duration
 	fmt.Println("experiment timing")
-	fmt.Printf("%-16s %10s\n", "experiment", "wall")
+	fmt.Printf("%-16s %10s\n", "experiment", "host")
 	for _, r := range reports {
 		fmt.Printf("%-16s %10v\n", r.Name, r.Elapsed.Round(time.Millisecond))
-		total += r.Elapsed
 	}
-	fmt.Printf("%-16s %10v\n", "total", total.Round(time.Millisecond))
+	fmt.Printf("%-16s %10v\n", "total (wall)", wall.Round(time.Millisecond))
 	return nil
 }
 

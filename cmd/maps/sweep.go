@@ -115,7 +115,10 @@ flags:
 			},
 			Axes: axes,
 		}
-		res, err = fleet.RunLocal(context.Background(), spec, *parallel)
+		var points []sweep.Point
+		if points, err = spec.Expand(); err == nil {
+			res, err = fleet.RunLocal(context.Background(), points, *parallel, nil)
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "maps sweep: %v\n", err)

@@ -8,7 +8,6 @@ import (
 	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/stats"
-	"github.com/maps-sim/mapsim/internal/sweep"
 	"github.com/maps-sim/mapsim/internal/workload"
 )
 
@@ -34,33 +33,26 @@ type AblatePartialResult struct {
 // the block, saving a memory read whenever the block fills before
 // eviction. The paper predicts modest benefits concentrated in
 // write-heavy workloads.
-func AblatePartial(opt Options) (*AblatePartialResult, error) {
-	opt.fill()
-	benches := opt.benchmarks([]string{"fft", "lbm", "leslie3d", "canneal"})
+func AblatePartial(opt Options) (*AblatePartialResult, error) { return runOne(opt, ablatePartial) }
 
-	sr, err := runSweep(sweep.Spec{
-		Base: sim.Config{
-			Instructions: opt.Instructions,
-			Secure:       true,
-			Speculation:  true,
-			Meta:         &metacache.Config{Size: 64 << 10},
-		},
-		Axes: sweep.Axes{
-			Benchmarks:    benches,
-			PartialWrites: []bool{false, true},
-		},
-	}, opt)
-	if err != nil {
-		return nil, err
-	}
-	type key struct {
-		bench   string
-		partial bool
-	}
-	results := map[key]*sim.Result{}
-	for i := range sr.Points {
-		p := &sr.Points[i]
-		results[key{p.Benchmark, p.PartialWrites}] = p.Result
+// ablatePartial plans the ablation: each benchmark with partial
+// writes off and on.
+func ablatePartial(opt Options) (*AblatePartialResult, *plan, error) {
+	benches := opt.benchmarks([]string{"fft", "lbm", "leslie3d", "canneal"})
+	p := &plan{}
+	runs := map[string][2]*job{} // [without, with]
+	for _, b := range benches {
+		var pair [2]*job
+		for i, partial := range []bool{false, true} {
+			pair[i] = p.run(sim.Config{
+				Benchmark:    b,
+				Instructions: opt.Instructions,
+				Secure:       true,
+				Speculation:  true,
+				Meta:         &metacache.Config{Size: 64 << 10, PartialWrites: partial},
+			})
+		}
+		runs[b] = pair
 	}
 
 	res := &AblatePartialResult{
@@ -69,18 +61,20 @@ func AblatePartial(opt Options) (*AblatePartialResult, error) {
 		MetaMPKI:     map[string][2]float64{},
 		PartialFills: map[string]uint64{},
 	}
-	for _, b := range benches {
-		without := results[key{b, false}]
-		with := results[key{b, true}]
-		kiloW := float64(without.Instructions) / 1000
-		kiloP := float64(with.Instructions) / 1000
-		res.HashReadsPKI[b] = [2]float64{
-			float64(without.Mem.HashReads) / kiloW,
-			float64(with.Mem.HashReads) / kiloP,
+	p.finish = func() (*plan, error) {
+		for _, b := range benches {
+			without, with := runs[b][0].res, runs[b][1].res
+			kiloW := float64(without.Instructions) / 1000
+			kiloP := float64(with.Instructions) / 1000
+			res.HashReadsPKI[b] = [2]float64{
+				float64(without.Mem.HashReads) / kiloW,
+				float64(with.Mem.HashReads) / kiloP,
+			}
+			res.MetaMPKI[b] = [2]float64{without.MetaMPKI, with.MetaMPKI}
 		}
-		res.MetaMPKI[b] = [2]float64{without.MetaMPKI, with.MetaMPKI}
+		return nil, nil
 	}
-	return res, nil
+	return res, p, nil
 }
 
 // Render prints the ablation.
@@ -129,8 +123,10 @@ var ContentMatrixContents = []metacache.ContentPolicy{
 
 // ContentMatrix extends Figure 1 to the full set of content policies
 // the paper says it also evaluated, at one cache size.
-func ContentMatrix(opt Options) (*ContentMatrixResult, error) {
-	opt.fill()
+func ContentMatrix(opt Options) (*ContentMatrixResult, error) { return runOne(opt, contentMatrix) }
+
+// contentMatrix plans one run per benchmark and content policy.
+func contentMatrix(opt Options) (*ContentMatrixResult, *plan, error) {
 	benches := opt.benchmarks([]string{"canneal", "libquantum", "fft"})
 	res := &ContentMatrixResult{
 		Benchmarks: benches,
@@ -138,41 +134,32 @@ func ContentMatrix(opt Options) (*ContentMatrixResult, error) {
 		MemPKI:     map[string]map[metacache.ContentPolicy]float64{},
 		MPKI:       map[string]map[metacache.ContentPolicy]float64{},
 	}
-	type key struct {
-		bench   string
-		content metacache.ContentPolicy
-	}
-	results := map[key]**sim.Result{}
-	var jobs []job
+	p := &plan{}
+	runs := map[string]map[metacache.ContentPolicy]*job{}
 	for _, b := range benches {
+		runs[b] = map[metacache.ContentPolicy]*job{}
 		for _, c := range ContentMatrixContents {
-			slot := new(*sim.Result)
-			results[key{b, c}] = slot
-			jobs = append(jobs, job{
-				cfg: sim.Config{
-					Benchmark:    b,
-					Instructions: opt.Instructions,
-					Secure:       true,
-					Speculation:  true,
-					Meta:         &metacache.Config{Size: 128 << 10, Content: c},
-				},
-				out: slot,
+			runs[b][c] = p.run(sim.Config{
+				Benchmark:    b,
+				Instructions: opt.Instructions,
+				Secure:       true,
+				Speculation:  true,
+				Meta:         &metacache.Config{Size: 128 << 10, Content: c},
 			})
 		}
 	}
-	if err := runAll(jobs, opt); err != nil {
-		return nil, err
-	}
-	for _, b := range benches {
-		res.MemPKI[b] = map[metacache.ContentPolicy]float64{}
-		res.MPKI[b] = map[metacache.ContentPolicy]float64{}
-		for _, c := range ContentMatrixContents {
-			r := *results[key{b, c}]
-			res.MemPKI[b][c] = r.MetaMemPKI
-			res.MPKI[b][c] = r.MetaMPKI
+	p.finish = func() (*plan, error) {
+		for b, byContent := range runs {
+			res.MemPKI[b] = map[metacache.ContentPolicy]float64{}
+			res.MPKI[b] = map[metacache.ContentPolicy]float64{}
+			for c, j := range byContent {
+				res.MemPKI[b][c] = j.res.MetaMemPKI
+				res.MPKI[b][c] = j.res.MetaMPKI
+			}
 		}
+		return nil, nil
 	}
-	return res, nil
+	return res, p, nil
 }
 
 // Render prints the matrix.
@@ -209,58 +196,52 @@ type OrgCompareResult struct {
 // OrgCompare quantifies the prose claim of §IV: SGX's 8 B per-block
 // counters make counter blocks behave like hash blocks (8x less
 // coverage), increasing counter traffic and deepening the tree.
-func OrgCompare(opt Options) (*OrgCompareResult, error) {
-	opt.fill()
+func OrgCompare(opt Options) (*OrgCompareResult, error) { return runOne(opt, orgCompare) }
+
+// orgCompare plans each benchmark under both counter organizations.
+func orgCompare(opt Options) (*OrgCompareResult, *plan, error) {
 	benches := opt.benchmarks([]string{"libquantum", "canneal", "leslie3d"})
-	type key struct {
-		bench string
-		org   memlayout.Organization
-	}
-	results := map[key]**sim.Result{}
-	var jobs []job
+	p := &plan{}
+	runs := map[string][2]*job{} // [PI, SGX]
 	for _, b := range benches {
-		for _, org := range []memlayout.Organization{memlayout.PoisonIvy, memlayout.SGX} {
-			slot := new(*sim.Result)
-			results[key{b, org}] = slot
-			jobs = append(jobs, job{
-				cfg: sim.Config{
-					Benchmark:    b,
-					Instructions: opt.Instructions,
-					Secure:       true,
-					Speculation:  true,
-					Org:          org,
-					Meta:         &metacache.Config{Size: 64 << 10},
-				},
-				out: slot,
+		var pair [2]*job
+		for i, org := range []memlayout.Organization{memlayout.PoisonIvy, memlayout.SGX} {
+			pair[i] = p.run(sim.Config{
+				Benchmark:    b,
+				Instructions: opt.Instructions,
+				Secure:       true,
+				Speculation:  true,
+				Org:          org,
+				Meta:         &metacache.Config{Size: 64 << 10},
 			})
 		}
-	}
-	if err := runAll(jobs, opt); err != nil {
-		return nil, err
+		runs[b] = pair
 	}
 	res := &OrgCompareResult{
 		Benchmarks:  benches,
 		CounterMPKI: map[string][2]float64{},
 		MetaMemPKI:  map[string][2]float64{},
 	}
-	for _, b := range benches {
-		pi := *results[key{b, memlayout.PoisonIvy}]
-		sgx := *results[key{b, memlayout.SGX}]
-		res.CounterMPKI[b] = [2]float64{
-			pi.Meta[memlayout.KindCounter].MPKI,
-			sgx.Meta[memlayout.KindCounter].MPKI,
-		}
-		res.MetaMemPKI[b] = [2]float64{pi.MetaMemPKI, sgx.MetaMemPKI}
-	}
 	// Tree depth for a representative footprint.
 	g, err := workload.New(benches[0])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fp := g.Footprint()
 	res.TreeLevels[0] = memlayout.MustNew(memlayout.PoisonIvy, fp).TreeLevels()
 	res.TreeLevels[1] = memlayout.MustNew(memlayout.SGX, fp).TreeLevels()
-	return res, nil
+	p.finish = func() (*plan, error) {
+		for _, b := range benches {
+			pi, sgx := runs[b][0].res, runs[b][1].res
+			res.CounterMPKI[b] = [2]float64{
+				pi.Meta[memlayout.KindCounter].MPKI,
+				sgx.Meta[memlayout.KindCounter].MPKI,
+			}
+			res.MetaMemPKI[b] = [2]float64{pi.MetaMemPKI, sgx.MetaMemPKI}
+		}
+		return nil, nil
+	}
+	return res, p, nil
 }
 
 // Render prints the organization comparison.

@@ -7,6 +7,7 @@ import (
 	"github.com/maps-sim/mapsim/internal/memlayout"
 	"github.com/maps-sim/mapsim/internal/plot"
 	"github.com/maps-sim/mapsim/internal/reuse"
+	"github.com/maps-sim/mapsim/internal/sweep"
 )
 
 // This file gives each figure result an ASCII-chart rendering so
@@ -18,7 +19,7 @@ func (r *Fig1Result) RenderChart() string {
 	var sb strings.Builder
 	ticks := make([]string, len(r.Sizes))
 	for i, s := range r.Sizes {
-		ticks[i] = sizeLabel(s)
+		ticks[i] = sweep.SizeLabel(s)
 	}
 	for _, b := range r.Benchmarks {
 		c := plot.LineChart{
@@ -44,7 +45,7 @@ func (r *Fig2Result) RenderChart() string {
 	var sb strings.Builder
 	ticks := make([]string, len(r.Metas))
 	for i, m := range r.Metas {
-		ticks[i] = sizeLabel(m)
+		ticks[i] = sweep.SizeLabel(m)
 	}
 	for _, series := range []string{"average", "canneal"} {
 		data := r.Norm[series]
@@ -60,7 +61,7 @@ func (r *Fig2Result) RenderChart() string {
 			for i, m := range r.Metas {
 				ys[i] = data[llc][m]
 			}
-			c.Series = append(c.Series, plot.Series{Name: "LLC " + sizeLabel(llc), Y: ys})
+			c.Series = append(c.Series, plot.Series{Name: "LLC " + sweep.SizeLabel(llc), Y: ys})
 		}
 		sb.WriteString(c.Render())
 		sb.WriteByte('\n')
@@ -73,7 +74,7 @@ func (r *Fig3Result) RenderChart() string {
 	var sb strings.Builder
 	ticks := make([]string, len(r.Thresholds))
 	for i, th := range r.Thresholds {
-		ticks[i] = sizeLabel(int(th))
+		ticks[i] = sweep.SizeLabel(int(th))
 	}
 	for _, b := range r.Benchmarks {
 		c := plot.LineChart{

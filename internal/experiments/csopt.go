@@ -52,7 +52,7 @@ const csoptCacheSize = 4 << 10
 // half of the study uses. The paper's smallest benchmark (perl) took
 // 32 minutes *per CSOPT run*; tractability requires few distinct
 // metadata blocks per cache set, which means a small footprint.
-func csoptWorkload() (workloadGen, error) {
+func csoptWorkload() (workload.Generator, error) {
 	// 128 KB of data implies ~293 metadata blocks (32 counters, 256
 	// hashes, 5 tree nodes) — about 4.5x the 4 KB cache, so real
 	// eviction decisions exist, while ~18 distinct blocks per set
@@ -68,11 +68,13 @@ func csoptWorkload() (workloadGen, error) {
 	})
 }
 
-type workloadGen = workload.Generator
-
 // CSOPT runs the cost-sensitive-optimal study.
-func CSOPT(opt_ Options) (*CSOPTResult, error) {
-	opt_.fill()
+func CSOPT(opt Options) (*CSOPTResult, error) { return runOne(opt, csopt) }
+
+// csopt plans the study in two phases: the traced true-LRU runs and
+// the pseudo-LRU baseline, then — once the schedule is solved — its
+// live replay.
+func csopt(opt_ Options) (*CSOPTResult, *plan, error) {
 	big := "canneal"
 	if len(opt_.Benchmarks) > 0 {
 		big = opt_.Benchmarks[0]
@@ -80,114 +82,96 @@ func CSOPT(opt_ Options) (*CSOPTResult, error) {
 
 	// Short runs everywhere: even with a micro workload the solver's
 	// cost is states x ways per access.
-	instructions := opt_.Instructions
-	if instructions > 30_000 {
-		instructions = 30_000
-	}
+	instructions := min(opt_.Instructions, 30_000)
 
 	res := &CSOPTResult{Benchmark: "csopt-micro", ExplodedBenchmark: big}
-	metaCfg := func(p policyIface) *metacache.Config {
-		return &metacache.Config{Size: csoptCacheSize, Ways: 4, Policy: p}
+	// micro configures a run of the small workload under policy p;
+	// each run gets its own generator.
+	micro := func(p cache.Policy) (sim.Config, error) {
+		gen, err := csoptWorkload()
+		return sim.Config{
+			Workload:     gen,
+			Instructions: instructions,
+			Secure:       true,
+			Speculation:  true,
+			Meta:         &metacache.Config{Size: csoptCacheSize, Ways: 4, Policy: p},
+		}, err
 	}
+	p := &plan{}
 
-	// 1. Record the trace under true LRU.
-	gen, err := csoptWorkload()
-	if err != nil {
-		return nil, err
-	}
+	// Record the trace CSOPT solves over, under true LRU.
 	lruTrace := &trace.Trace{}
-	lruRun, err := sim.Run(sim.Config{
-		Workload:     gen,
-		Instructions: instructions,
-		Secure:       true,
-		Speculation:  true,
-		Meta:         metaCfg(policy.NewLRU()),
-		Tap:          lruTrace.Append,
-	})
+	cfg, err := micro(policy.NewLRU())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.LRUMPKI = lruRun.MetaMPKI
-	res.TraceLen = lruTrace.Len()
+	cfg.Tap = lruTrace.Append
+	lruRun := p.run(cfg)
 
-	// 2. Solve CSOPT over the fixed trace.
-	start := time.Now()
-	sched, solved, err := opt.CSOPTSchedule(lruTrace, csoptCacheSize, 4, 1<<17)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: csopt solve: %w", err)
+	// Baseline pseudo-LRU for comparison.
+	if cfg, err = micro(policy.NewPLRU()); err != nil {
+		return nil, nil, err
 	}
-	res.SolveTime = time.Since(start)
-	res.OptimalCost = solved.Cost
-	res.OptimalMiss = solved.Misses
-	res.PeakStates = solved.PeakStates
+	plruRun := p.run(cfg)
 
-	// 3. Replay the schedule live: the engine regenerates tree
-	// accesses from actual cache state, so the stream drifts and the
-	// script falls back — §V-B's "varying access stream".
-	gen2, err := csoptWorkload()
-	if err != nil {
-		return nil, err
-	}
-	scripted := opt.NewScripted(sched)
-	replay, err := sim.Run(sim.Config{
-		Workload:     gen2,
-		Instructions: instructions,
-		Secure:       true,
-		Speculation:  true,
-		Meta:         metaCfg(scripted),
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.ReplayMPKI = replay.MetaMPKI
-	res.Diverged = scripted.Diverged
-	res.Followed = scripted.Followed
-	if total := scripted.Diverged + scripted.Followed; total > 0 {
-		res.DivergedShare = float64(scripted.Diverged) / float64(total)
-	}
-
-	// 4. Baseline pseudo-LRU for comparison.
-	gen3, err := csoptWorkload()
-	if err != nil {
-		return nil, err
-	}
-	plruRun, err := sim.Run(sim.Config{
-		Workload:     gen3,
-		Instructions: instructions,
-		Secure:       true,
-		Speculation:  true,
-		Meta:         metaCfg(policy.NewPLRU()),
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.PLRUMPKI = plruRun.MetaMPKI
-
-	// 5. State explosion on the memory-intensive benchmark: a modest
+	// State explosion on the memory-intensive benchmark: a modest
 	// state budget must overflow (in the paper, canneal "does not
 	// finish" after six days).
 	bigTrace := &trace.Trace{}
-	if _, err := sim.Run(sim.Config{
+	p.run(sim.Config{
 		Benchmark:    big,
 		Instructions: instructions,
 		Secure:       true,
 		Speculation:  true,
-		Meta:         metaCfg(policy.NewLRU()),
+		Meta:         &metacache.Config{Size: csoptCacheSize, Ways: 4, Policy: policy.NewLRU()},
 		Tap:          bigTrace.Append,
-	}); err != nil {
-		return nil, err
-	}
-	_, _, err = opt.CSOPTSchedule(bigTrace, csoptCacheSize, 4, 1<<14)
-	res.Exploded = errors.Is(err, opt.ErrStateExplosion)
-	if err != nil && !res.Exploded {
-		return nil, err
-	}
-	return res, nil
-}
+	})
 
-// policyIface is the cache.Policy dependency in a local name to keep
-// the config helper tidy.
-type policyIface = cache.Policy
+	p.finish = func() (*plan, error) {
+		res.LRUMPKI = lruRun.res.MetaMPKI
+		res.TraceLen = lruTrace.Len()
+		res.PLRUMPKI = plruRun.res.MetaMPKI
+
+		// Solve CSOPT over the fixed trace.
+		start := time.Now()
+		sched, solved, err := opt.CSOPTSchedule(lruTrace, csoptCacheSize, 4, 1<<17)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: csopt solve: %w", err)
+		}
+		res.SolveTime = time.Since(start)
+		res.OptimalCost = solved.Cost
+		res.OptimalMiss = solved.Misses
+		res.PeakStates = solved.PeakStates
+
+		_, _, err = opt.CSOPTSchedule(bigTrace, csoptCacheSize, 4, 1<<14)
+		res.Exploded = errors.Is(err, opt.ErrStateExplosion)
+		if err != nil && !res.Exploded {
+			return nil, err
+		}
+
+		// Replay the schedule live: the engine regenerates tree
+		// accesses from actual cache state, so the stream drifts and
+		// the script falls back — §V-B's "varying access stream".
+		scripted := opt.NewScripted(sched)
+		cfg, err := micro(scripted)
+		if err != nil {
+			return nil, err
+		}
+		replay := &plan{}
+		replayRun := replay.run(cfg)
+		replay.finish = func() (*plan, error) {
+			res.ReplayMPKI = replayRun.res.MetaMPKI
+			res.Diverged = scripted.Diverged
+			res.Followed = scripted.Followed
+			if total := scripted.Diverged + scripted.Followed; total > 0 {
+				res.DivergedShare = float64(scripted.Diverged) / float64(total)
+			}
+			return nil, nil
+		}
+		return replay, nil
+	}
+	return res, p, nil
+}
 
 // Render prints the study.
 func (r *CSOPTResult) Render() string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -11,16 +12,20 @@ import (
 	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/reuse"
 	"github.com/maps-sim/mapsim/internal/sim"
+	"github.com/maps-sim/mapsim/internal/sweep"
+	"github.com/maps-sim/mapsim/internal/trace"
 )
 
 // testOpt keeps experiment tests quick; the CLI uses the real default.
 var testOpt = Options{Instructions: 150_000, Parallelism: 4}
 
+// TestSizeLabel pins the axis labels the exhibits print, now
+// sweep.SizeLabel's (the experiments' own copy is gone).
 func TestSizeLabel(t *testing.T) {
 	cases := map[int]string{64: "64B", 16 << 10: "16KB", 2 << 20: "2MB", 288 << 10: "288KB"}
 	for in, want := range cases {
-		if got := sizeLabel(in); got != want {
-			t.Errorf("sizeLabel(%d) = %q, want %q", in, got, want)
+		if got := sweep.SizeLabel(in); got != want {
+			t.Errorf("sweep.SizeLabel(%d) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -37,7 +42,7 @@ func TestFig1ShapeAndRender(t *testing.T) {
 	allMem := r.MemPKI["canneal"][metacache.AllTypes][small]
 	countersMem := r.MemPKI["canneal"][metacache.CountersOnly][small]
 	if allMem >= countersMem {
-		t.Errorf("canneal @%s: all-types mem/KI %.1f should beat counters-only %.1f", sizeLabel(small), allMem, countersMem)
+		t.Errorf("canneal @%s: all-types mem/KI %.1f should beat counters-only %.1f", sweep.SizeLabel(small), allMem, countersMem)
 	}
 	// Shape check 2: the libquantum crossover — at some size,
 	// admitting hashes alongside counters *raises* miss MPKI above
@@ -59,7 +64,7 @@ func TestFig1ShapeAndRender(t *testing.T) {
 		for _, s := range r.Sizes {
 			v := r.MPKI[b][metacache.AllTypes][s]
 			if prev >= 0 && v > prev*1.10 {
-				t.Errorf("%s all-types MPKI rises with size: %v -> %v at %s", b, prev, v, sizeLabel(s))
+				t.Errorf("%s all-types MPKI rises with size: %v -> %v at %s", b, prev, v, sweep.SizeLabel(s))
 			}
 			prev = v
 		}
@@ -84,7 +89,7 @@ func TestFig2ShapeAndRender(t *testing.T) {
 	for _, llc := range r.LLCs {
 		for _, m := range r.Metas {
 			if v := r.Norm["average"][llc][m]; v <= 1.0 {
-				t.Errorf("average overhead at %s/%s = %v, want > 1", sizeLabel(llc), sizeLabel(m), v)
+				t.Errorf("average overhead at %s/%s = %v, want > 1", sweep.SizeLabel(llc), sweep.SizeLabel(m), v)
 			}
 		}
 	}
@@ -281,51 +286,63 @@ func TestTables(t *testing.T) {
 	}
 }
 
-// runTasks is the fail-fast primitive every experiment fan-out now
-// shares (the hand-rolled semaphores in fig3/fig6/fig7 lacked both
-// guarantees): the first error cancels the shared context, tasks not
-// yet started never start, and the root cause is returned unmasked.
+// TestRunTasksFailFast (named for the fan-out it first covered; the
+// plan executor replaced it): the first failure cancels the phase,
+// jobs not yet started never start, and the root cause is returned
+// unmasked.
 func TestRunTasksFailFast(t *testing.T) {
 	var started atomic.Int32
-	boom := errors.New("boom")
-	err := runTasks(context.Background(), 64, 1, func(ctx context.Context, i int) error {
-		started.Add(1)
-		if i == 0 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
+	p := &plan{finish: func() (*plan, error) { return nil, nil }}
+	// Job 0 cannot build its 100-byte metadata cache; every other job
+	// has a front of its own (its seed), so nothing groups with it.
+	p.run(sim.Config{Instructions: 10_000, Benchmark: "fft", Secure: true,
+		Meta: &metacache.Config{Size: 100, Ways: 8}})
+	for i := 1; i < 64; i++ {
+		var once sync.Once
+		p.run(sim.Config{Instructions: 10_000, Benchmark: "fft", Secure: true, Seed: int64(i),
+			Tap: func(trace.Access) { once.Do(func() { started.Add(1) }) }})
+	}
+	err := execute(context.Background(), p, 1)
+	if err == nil || !strings.Contains(err.Error(), "not divisible") {
 		t.Fatalf("got %v, want the root cause", err)
 	}
-	// Parallelism 1 serializes the tasks, so the failure at i=0 must
-	// stop the fan-out long before all 64 run.
-	if n := started.Load(); n >= 64 {
-		t.Fatalf("all %d tasks started despite an early failure", n)
+	if errors.Is(err, context.Canceled) {
+		t.Fatalf("cancellation victim masked the root cause: %v", err)
+	}
+	// Parallelism 1 serializes the jobs, so the failure of job 0 must
+	// stop the phase long before all 64 run.
+	if n := started.Load(); n >= 63 {
+		t.Fatalf("all %d other jobs started despite an early failure", n)
 	}
 }
 
+// TestRunTasksPropagatesCancel (named for the fan-out it first
+// covered): the plan executor stops with the caller's cancellation.
 func TestRunTasksPropagatesCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := runTasks(ctx, 8, 4, func(ctx context.Context, i int) error { return nil })
+	p := &plan{finish: func() (*plan, error) { return nil, nil }}
+	for i := 0; i < 8; i++ {
+		p.run(sim.Config{Instructions: 10_000, Benchmark: "fft", Seed: int64(i + 1)})
+	}
+	err := execute(ctx, p, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
-// A failing simulation inside a fan-out must surface its own error
-// (here: a 100-byte metadata cache that cannot be built), tagged with
-// the benchmark, not a cancellation victim's context error.
+// TestRunAllPropagatesRootCause (named for the fan-out it first
+// covered): a failing simulation inside a phase must surface its own
+// error (here: a 100-byte metadata cache that cannot be built), tagged
+// with the benchmark, not a cancellation victim's context error.
 func TestRunAllPropagatesRootCause(t *testing.T) {
-	jobList := []job{
-		{cfg: sim.Config{Instructions: 10_000, Benchmark: "fft", Secure: true,
-			Meta: &metacache.Config{Size: 100, Ways: 8}}, out: new(*sim.Result)},
-		{cfg: sim.Config{Instructions: 10_000, Benchmark: "libquantum", Secure: true,
-			Meta: &metacache.Config{Size: 64 << 10, Ways: 8}}, out: new(*sim.Result)},
-	}
-	err := runAll(jobList, Options{Parallelism: 2})
+	p := &plan{finish: func() (*plan, error) { return nil, nil }}
+	p.run(sim.Config{Instructions: 10_000, Benchmark: "fft", Secure: true,
+		Meta: &metacache.Config{Size: 100, Ways: 8}})
+	p.run(sim.Config{Instructions: 10_000, Benchmark: "libquantum", Secure: true,
+		Meta: &metacache.Config{Size: 64 << 10, Ways: 8}})
+	err := execute(context.Background(), p, 2)
 	if err == nil || !strings.Contains(err.Error(), "fft") {
-		t.Fatalf("runAll error %v does not carry the failing benchmark", err)
+		t.Fatalf("plan error %v does not carry the failing benchmark", err)
 	}
 }

@@ -38,8 +38,11 @@ type Fig1Result struct {
 // Fig1 reproduces Figure 1: metadata MPKI as a function of metadata
 // cache size when caching (i) only counters, (ii) counters+hashes,
 // (iii) all metadata types, for canneal and libquantum.
-func Fig1(opt Options) (*Fig1Result, error) {
-	opt.fill()
+func Fig1(opt Options) (*Fig1Result, error) { return runOne(opt, fig1) }
+
+// fig1 plans Figure 1: one secure run per benchmark, content policy,
+// and metadata-cache size.
+func fig1(opt Options) (*Fig1Result, *plan, error) {
 	res := &Fig1Result{
 		Benchmarks: opt.benchmarks([]string{"canneal", "libquantum"}),
 		Sizes:      MetaSizes,
@@ -47,44 +50,39 @@ func Fig1(opt Options) (*Fig1Result, error) {
 		MPKI:       map[string]map[metacache.ContentPolicy]map[int]float64{},
 		MemPKI:     map[string]map[metacache.ContentPolicy]map[int]float64{},
 	}
-	contents := make([]string, len(res.Contents))
-	for i, c := range res.Contents {
-		contents[i] = c.String()
-	}
-	sr, err := runSweep(sweep.Spec{
-		Base: sim.Config{Instructions: opt.Instructions, Secure: true, Speculation: true},
-		Axes: sweep.Axes{
-			Benchmarks: res.Benchmarks,
-			Meta:       sweep.IntAxis{Points: res.Sizes},
-			Contents:   contents,
-		},
-	}, opt)
-	if err != nil {
-		return nil, err
-	}
-	put := func(dst map[string]map[metacache.ContentPolicy]map[int]float64, bench string, content metacache.ContentPolicy, size int, v float64) {
-		m := dst[bench]
-		if m == nil {
-			m = map[metacache.ContentPolicy]map[int]float64{}
-			dst[bench] = m
+	p := &plan{}
+	runs := map[string]map[metacache.ContentPolicy]map[int]*job{}
+	for _, b := range res.Benchmarks {
+		runs[b] = map[metacache.ContentPolicy]map[int]*job{}
+		for _, c := range res.Contents {
+			runs[b][c] = map[int]*job{}
+			for _, s := range res.Sizes {
+				runs[b][c][s] = p.run(sim.Config{
+					Benchmark:    b,
+					Instructions: opt.Instructions,
+					Secure:       true,
+					Speculation:  true,
+					Meta:         &metacache.Config{Size: s, Content: c},
+				})
+			}
 		}
-		mm := m[content]
-		if mm == nil {
-			mm = map[int]float64{}
-			m[content] = mm
-		}
-		mm[size] = v
 	}
-	for i := range sr.Points {
-		p := &sr.Points[i]
-		content, err := metacache.ParseContent(p.Content)
-		if err != nil {
-			return nil, err
+	p.finish = func() (*plan, error) {
+		for b, byContent := range runs {
+			res.MPKI[b] = map[metacache.ContentPolicy]map[int]float64{}
+			res.MemPKI[b] = map[metacache.ContentPolicy]map[int]float64{}
+			for c, bySize := range byContent {
+				res.MPKI[b][c] = map[int]float64{}
+				res.MemPKI[b][c] = map[int]float64{}
+				for s, j := range bySize {
+					res.MPKI[b][c][s] = j.res.MetaMPKI
+					res.MemPKI[b][c][s] = j.res.MetaMemPKI
+				}
+			}
 		}
-		put(res.MPKI, p.Benchmark, content, p.MetaBytes, p.Result.MetaMPKI)
-		put(res.MemPKI, p.Benchmark, content, p.MetaBytes, p.Result.MetaMemPKI)
+		return nil, nil
 	}
-	return res, nil
+	return res, p, nil
 }
 
 // Render prints, per benchmark, the cache-miss MPKI table (the
@@ -99,7 +97,7 @@ func (r *Fig1Result) Render() string {
 		var t stats.Table
 		header := []string{"contents", "metric"}
 		for _, s := range r.Sizes {
-			header = append(header, sizeLabel(s))
+			header = append(header, sweep.SizeLabel(s))
 		}
 		t.AddRow(header...)
 		for _, c := range r.Contents {
@@ -134,8 +132,11 @@ type Fig2Result struct {
 // and metadata cache size combinations, for the suite average and for
 // canneal, normalized per benchmark to a 2 MB LLC without secure
 // memory.
-func Fig2(opt Options) (*Fig2Result, error) {
-	opt.fill()
+func Fig2(opt Options) (*Fig2Result, error) { return runOne(opt, fig2) }
+
+// fig2 plans Figure 2: per benchmark, the insecure 2 MB-LLC baseline
+// that ED^2 normalizes against, and the secure LLC × metadata grid.
+func fig2(opt Options) (*Fig2Result, *plan, error) {
 	// A balanced suite: the cache-friendly members (perlbench, gcc,
 	// barnes) matter, because the paper's average-vs-canneal contrast
 	// is about the common case preferring LLC capacity over metadata
@@ -147,38 +148,26 @@ func Fig2(opt Options) (*Fig2Result, error) {
 		h.L3Size = llc
 		return h
 	}
-	// Two sweeps: the per-benchmark insecure 2MB-LLC baseline that ED^2
-	// normalizes against, and the secure LLC × metadata grid.
-	baseSweep, err := runSweep(sweep.Spec{
-		Base: sim.Config{Instructions: opt.Instructions, Hierarchy: hier(2 << 20)},
-		Axes: sweep.Axes{Benchmarks: benches},
-	}, opt)
-	if err != nil {
-		return nil, err
-	}
-	gridSweep, err := runSweep(sweep.Spec{
-		Base: sim.Config{Instructions: opt.Instructions, Secure: true, Speculation: true},
-		Axes: sweep.Axes{
-			Benchmarks: benches,
-			LLC:        sweep.IntAxis{Points: LLCSizes},
-			Meta:       sweep.IntAxis{Points: MetaSizes},
-		},
-	}, opt)
-	if err != nil {
-		return nil, err
-	}
 	type key struct {
 		bench     string
 		llc, meta int // meta<0 marks the insecure baseline
 	}
-	results := map[key]*sim.Result{}
-	for i := range baseSweep.Points {
-		p := &baseSweep.Points[i]
-		results[key{p.Benchmark, 2 << 20, -1}] = p.Result
-	}
-	for i := range gridSweep.Points {
-		p := &gridSweep.Points[i]
-		results[key{p.Benchmark, p.LLCBytes, p.MetaBytes}] = p.Result
+	p := &plan{}
+	runs := map[key]*job{}
+	for _, b := range benches {
+		runs[key{b, 2 << 20, -1}] = p.run(sim.Config{Benchmark: b, Instructions: opt.Instructions, Hierarchy: hier(2 << 20)})
+		for _, llc := range LLCSizes {
+			for _, meta := range MetaSizes {
+				runs[key{b, llc, meta}] = p.run(sim.Config{
+					Benchmark:    b,
+					Instructions: opt.Instructions,
+					Secure:       true,
+					Speculation:  true,
+					Hierarchy:    hier(llc),
+					Meta:         &metacache.Config{Size: meta},
+				})
+			}
+		}
 	}
 
 	res := &Fig2Result{LLCs: LLCSizes, Metas: MetaSizes, Norm: map[string]map[int]map[int]float64{}}
@@ -195,21 +184,24 @@ func Fig2(opt Options) (*Fig2Result, error) {
 		}
 		mm[meta] = v
 	}
-	for _, llc := range LLCSizes {
-		for _, meta := range MetaSizes {
-			var norms []float64
-			for _, b := range benches {
-				baseline := results[key{b, 2 << 20, -1}].ED2
-				v := energy.Normalized(results[key{b, llc, meta}].ED2, baseline)
-				norms = append(norms, v)
-				if b == "canneal" {
-					put("canneal", llc, meta, v)
+	p.finish = func() (*plan, error) {
+		for _, llc := range LLCSizes {
+			for _, meta := range MetaSizes {
+				var norms []float64
+				for _, b := range benches {
+					baseline := runs[key{b, 2 << 20, -1}].res.ED2
+					v := energy.Normalized(runs[key{b, llc, meta}].res.ED2, baseline)
+					norms = append(norms, v)
+					if b == "canneal" {
+						put("canneal", llc, meta, v)
+					}
 				}
+				put("average", llc, meta, stats.Geomean(norms))
 			}
-			put("average", llc, meta, stats.Geomean(norms))
 		}
+		return nil, nil
 	}
-	return res, nil
+	return res, p, nil
 }
 
 // Render prints normalized ED^2 tables for the average and canneal,
@@ -225,11 +217,11 @@ func (r *Fig2Result) Render() string {
 		var t stats.Table
 		header := []string{"LLC \\ meta"}
 		for _, m := range r.Metas {
-			header = append(header, sizeLabel(m))
+			header = append(header, sweep.SizeLabel(m))
 		}
 		t.AddRow(header...)
 		for _, llc := range r.LLCs {
-			row := []string{sizeLabel(llc)}
+			row := []string{sweep.SizeLabel(llc)}
 			for _, m := range r.Metas {
 				row = append(row, fmt.Sprintf("%.2f", r.Norm[series][llc][m]))
 			}

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/maps-sim/mapsim/internal/memlayout"
 	"github.com/maps-sim/mapsim/internal/reuse"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/stats"
+	"github.com/maps-sim/mapsim/internal/sweep"
 	"github.com/maps-sim/mapsim/internal/trace"
 	"github.com/maps-sim/mapsim/internal/workload"
 )
@@ -24,45 +23,40 @@ var ReuseThresholds = []uint64{
 // blocks per 4 KB page covering a 2 MB LLC.
 const WorkingSetMarker = 288 << 10
 
-// reuseRun runs one benchmark with no metadata cache and feeds every
-// metadata access into a fresh analyzer.
-func reuseRun(ctx context.Context, bench string, instructions uint64) (*reuse.Analyzer, error) {
-	an := reuse.NewAnalyzer(int(instructions / 2))
-	_, err := sim.RunContext(ctx, sim.Config{
-		Benchmark:    bench,
-		Instructions: instructions,
-		Secure:       true,
-		Speculation:  true,
-		Tap: func(a trace.Access) {
-			an.Record(a.Addr, memlayout.Kind(a.Class), a.Write)
-		},
-	})
-	if err != nil {
-		return nil, err
+// analyze adds a run of cfg whose metadata stream feeds a reuse
+// analyzer, and hands reduce the analyzer and result once it lands.
+// The analyzer is built at the run's first access and released after
+// reduce, so it lives only while its run is in flight.
+func (p *plan) analyze(cfg sim.Config, reduce func(*reuse.Analyzer, *sim.Result)) {
+	var an *reuse.Analyzer
+	cfg.Tap = func(a trace.Access) {
+		if an == nil {
+			an = reuse.NewAnalyzer(int(cfg.Instructions / 2))
+		}
+		an.Record(a.Addr, memlayout.Kind(a.Class), a.Write)
 	}
-	return an, nil
+	p.run(cfg).done = func(r *sim.Result) {
+		if an == nil { // the run saw no metadata access
+			an = reuse.NewAnalyzer(0)
+		}
+		reduce(an, r)
+		an = nil // the Tap outlives the run; the analyzer need not
+	}
 }
 
-// reuseSweep runs reuseRun for each benchmark on the shared runTasks
-// fan-out: bounded parallelism and fail-fast first-error semantics,
-// like every other experiment.
-func reuseSweep(benches []string, opt Options) (map[string]*reuse.Analyzer, error) {
-	analyzers := make(map[string]*reuse.Analyzer, len(benches))
-	var mu sync.Mutex
-	err := runTasks(context.Background(), len(benches), opt.Parallelism, func(ctx context.Context, i int) error {
-		an, err := reuseRun(ctx, benches[i], opt.Instructions)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", benches[i], err)
-		}
-		mu.Lock()
-		analyzers[benches[i]] = an
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// reusePlan plans one run per benchmark with no metadata cache,
+// handing each run's analyzer to reduce as the run lands.
+func reusePlan(benches []string, instructions uint64, reduce func(bench string, an *reuse.Analyzer)) *plan {
+	p := &plan{finish: func() (*plan, error) { return nil, nil }}
+	for _, b := range benches {
+		p.analyze(sim.Config{
+			Benchmark:    b,
+			Instructions: instructions,
+			Secure:       true,
+			Speculation:  true,
+		}, func(an *reuse.Analyzer, _ *sim.Result) { reduce(b, an) })
 	}
-	return analyzers, nil
+	return p
 }
 
 // Fig3Result holds per-benchmark, per-kind reuse CDFs.
@@ -76,22 +70,20 @@ type Fig3Result struct {
 // Fig3 reproduces Figure 3: the reuse-distance CDF of each metadata
 // type under a 2 MB LLC with no metadata cache, for the six
 // representative benchmarks.
-func Fig3(opt Options) (*Fig3Result, error) {
-	opt.fill()
+func Fig3(opt Options) (*Fig3Result, error) { return runOne(opt, fig3) }
+
+// fig3 plans Figure 3 over reusePlan's runs: each run's CDF per
+// metadata type.
+func fig3(opt Options) (*Fig3Result, *plan, error) {
 	benches := opt.benchmarks(workload.Representative())
-	analyzers, err := reuseSweep(benches, opt)
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig3Result{Benchmarks: benches, Thresholds: ReuseThresholds, CDF: map[string]map[memlayout.Kind][]float64{}}
-	for b, an := range analyzers {
+	return res, reusePlan(benches, opt.Instructions, func(b string, an *reuse.Analyzer) {
 		m := map[memlayout.Kind][]float64{}
 		for _, k := range memlayout.MetaKinds {
 			m[k] = an.CDF(k, ReuseThresholds)
 		}
 		res.CDF[b] = m
-	}
-	return res, nil
+	}), nil
 }
 
 // Render prints one CDF table per benchmark with the 288 KB marker
@@ -104,7 +96,7 @@ func (r *Fig3Result) Render() string {
 		var t stats.Table
 		header := []string{"type"}
 		for _, th := range r.Thresholds {
-			l := sizeLabel(int(th))
+			l := sweep.SizeLabel(int(th))
 			if th == WorkingSetMarker {
 				l += "*"
 			}
@@ -144,15 +136,13 @@ type Fig4Result struct {
 
 // Fig4 reproduces Figure 4: classification of metadata accesses into
 // the paper's four reuse-distance classes, showing the bimodal shape.
-func Fig4(opt Options) (*Fig4Result, error) {
-	opt.fill()
+func Fig4(opt Options) (*Fig4Result, error) { return runOne(opt, fig4) }
+
+// fig4 plans Figure 4 over reusePlan's runs.
+func fig4(opt Options) (*Fig4Result, *plan, error) {
 	benches := opt.benchmarks(workload.Names())
-	analyzers, err := reuseSweep(benches, opt)
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig4Result{Benchmarks: benches, Classes: map[string][4]float64{}, Bimodality: map[string]float64{}}
-	for b, an := range analyzers {
+	return res, reusePlan(benches, opt.Instructions, func(b string, an *reuse.Analyzer) {
 		var combined [4]float64
 		var total float64
 		for _, k := range memlayout.MetaKinds {
@@ -170,8 +160,7 @@ func Fig4(opt Options) (*Fig4Result, error) {
 		}
 		res.Classes[b] = combined
 		res.Bimodality[b] = combined[0] + combined[3]
-	}
-	return res, nil
+	}), nil
 }
 
 // Render prints the class breakdown per benchmark.
@@ -205,20 +194,18 @@ type Fig5Result struct {
 // Fig5 reproduces Figure 5: reuse-distance CDFs split by request and
 // metadata type for the two most write-heavy memory-intensive
 // benchmarks (fft at 20% writes, leslie3d at 5%).
-func Fig5(opt Options) (*Fig5Result, error) {
-	opt.fill()
+func Fig5(opt Options) (*Fig5Result, error) { return runOne(opt, fig5) }
+
+// fig5 plans Figure 5 over reusePlan's runs.
+func fig5(opt Options) (*Fig5Result, *plan, error) {
 	benches := opt.benchmarks([]string{"fft", "leslie3d"})
-	analyzers, err := reuseSweep(benches, opt)
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig5Result{
 		Benchmarks: benches,
 		Thresholds: ReuseThresholds,
 		CDF:        map[string]map[memlayout.Kind]map[reuse.Transition][]float64{},
 		Counts:     map[string]map[memlayout.Kind]map[reuse.Transition]uint64{},
 	}
-	for b, an := range analyzers {
+	return res, reusePlan(benches, opt.Instructions, func(b string, an *reuse.Analyzer) {
 		kinds := map[memlayout.Kind]map[reuse.Transition][]float64{}
 		counts := map[memlayout.Kind]map[reuse.Transition]uint64{}
 		for _, k := range memlayout.MetaKinds {
@@ -231,8 +218,7 @@ func Fig5(opt Options) (*Fig5Result, error) {
 		}
 		res.CDF[b] = kinds
 		res.Counts[b] = counts
-	}
-	return res, nil
+	}), nil
 }
 
 // Render prints per-benchmark tables of transition CDFs.
@@ -244,7 +230,7 @@ func (r *Fig5Result) Render() string {
 		var t stats.Table
 		header := []string{"type", "transition", "n"}
 		for _, th := range r.Thresholds {
-			header = append(header, sizeLabel(int(th)))
+			header = append(header, sweep.SizeLabel(int(th)))
 		}
 		t.AddRow(header...)
 		for _, k := range memlayout.MetaKinds {

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"github.com/maps-sim/mapsim/internal/cache"
 	"github.com/maps-sim/mapsim/internal/cache/eva"
@@ -51,39 +49,31 @@ const iterMINCap = 4
 // *worse* than pseudo-LRU because metadata miss costs are non-uniform
 // and the access trace depends on cache contents — emerges from the
 // same mechanism here.
-func Fig6(opt_ Options) (*Fig6Result, error) {
-	opt_.fill()
-	benches := opt_.benchmarks(workload.MemoryIntensive())
+func Fig6(opt Options) (*Fig6Result, error) { return runOne(opt, fig6) }
+
+// fig6 plans Figure 6: every benchmark's policy comparison, unioned
+// phase by phase.
+func fig6(opt Options) (*Fig6Result, *plan, error) {
+	benches := opt.benchmarks(workload.MemoryIntensive())
 	res := &Fig6Result{
 		Benchmarks:    benches,
 		Policies:      append(append([]string{}, Fig6Policies...), Fig6ExtraPolicies...),
 		MPKI:          map[string]map[string]float64{},
 		IterMINRounds: map[string]int{},
 	}
-
-	var mu sync.Mutex
-	err := runTasks(context.Background(), len(benches), opt_.Parallelism, func(ctx context.Context, i int) error {
-		b := benches[i]
-		mpki, rounds, err := fig6Bench(ctx, b, opt_.Instructions)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", b, err)
-		}
-		mu.Lock()
-		res.MPKI[b] = mpki
-		res.IterMINRounds[b] = rounds
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	plans := make([]*plan, len(benches))
+	for i, b := range benches {
+		res.MPKI[b] = map[string]float64{}
+		plans[i] = fig6Bench(b, opt.Instructions, res)
 	}
-	return res, nil
+	return res, together(plans), nil
 }
 
-// fig6Bench runs the whole policy comparison for one benchmark.
-func fig6Bench(ctx context.Context, bench string, instructions uint64) (map[string]float64, int, error) {
-	mpki := map[string]float64{}
-
+// fig6Bench plans the policy comparison for one benchmark in phases:
+// the online policies, then MIN on the LRU run's trace, then one
+// phase per iterMIN round on the round before's trace.
+func fig6Bench(bench string, instructions uint64, res *Fig6Result) *plan {
+	mpki := res.MPKI[bench]
 	cfg := func(p cache.Policy, tap func(trace.Access)) sim.Config {
 		return sim.Config{
 			Benchmark:    bench,
@@ -94,12 +84,36 @@ func fig6Bench(ctx context.Context, bench string, instructions uint64) (map[stri
 			Tap:          tap,
 		}
 	}
-	run := func(p cache.Policy, tap func(trace.Access)) (*sim.Result, error) {
-		return sim.RunContext(ctx, cfg(p, tap))
+	// traced plans one MIN run with prev as its future knowledge,
+	// recording the run's own trace, and hands the result and that
+	// trace to then.
+	traced := func(prev *trace.Trace, then func(r *sim.Result, tr *trace.Trace) *plan) *plan {
+		tr := &trace.Trace{}
+		p := &plan{}
+		j := p.run(cfg(opt.NewMIN(prev), tr.Append))
+		p.finish = func() (*plan, error) { return then(j.res, tr), nil }
+		return p
+	}
+
+	// iterMIN: feed each run's trace into the next until the miss
+	// count stops moving. The MIN run is round 1.
+	var round func(rounds int, prevTrace *trace.Trace, prevMPKI float64) *plan
+	round = func(rounds int, prevTrace *trace.Trace, prevMPKI float64) *plan {
+		if rounds >= iterMINCap {
+			mpki["itermin"], res.IterMINRounds[bench] = prevMPKI, rounds
+			return nil
+		}
+		return traced(prevTrace, func(r *sim.Result, next *trace.Trace) *plan {
+			if math.Abs(r.MetaMPKI-prevMPKI) <= 0.005*prevMPKI || next.Equal(prevTrace) {
+				mpki["itermin"], res.IterMINRounds[bench] = r.MetaMPKI, rounds
+				return nil
+			}
+			return round(rounds+1, next, r.MetaMPKI)
+		})
 	}
 
 	// The online policies need nothing from each other, so they share
-	// one pass of the benchmark's front end (sim.RunGroup). The
+	// one pass of the benchmark's front end (one run group). The
 	// true-LRU run also gathers the trace MIN will use as future
 	// knowledge (§V-B: "simulate the benchmark once using true-LRU,
 	// gather the cache access trace"). typepred is the paper's SVI
@@ -108,50 +122,26 @@ func fig6Bench(ctx context.Context, bench string, instructions uint64) (map[stri
 	// implied by the paper's diagnosis of why single-histogram EVA
 	// fails.
 	lruTrace := &trace.Trace{}
-	online := []string{"lru", "plru", "eva", "srrip", "typepred", "eva-pertype"}
-	rs, err := sim.RunGroup(ctx, []sim.Config{
-		cfg(policy.NewLRU(), lruTrace.Append),
-		cfg(policy.NewPLRU(), nil),
-		cfg(eva.New(eva.Config{}), nil),
-		cfg(policy.NewSRRIP(), nil),
-		cfg(typepred.New(), nil),
-		cfg(eva.NewPerType(eva.Config{}), nil),
-	})
-	if err != nil {
-		return nil, 0, err
+	online := &plan{}
+	runs := map[string]*job{
+		"lru":         online.run(cfg(policy.NewLRU(), lruTrace.Append)),
+		"plru":        online.run(cfg(policy.NewPLRU(), nil)),
+		"eva":         online.run(cfg(eva.New(eva.Config{}), nil)),
+		"srrip":       online.run(cfg(policy.NewSRRIP(), nil)),
+		"typepred":    online.run(cfg(typepred.New(), nil)),
+		"eva-pertype": online.run(cfg(eva.NewPerType(eva.Config{}), nil)),
 	}
-	for i, name := range online {
-		mpki[name] = rs[i].MetaMPKI
-	}
-
-	// MIN with (stale-able) future knowledge from the LRU trace.
-	minTrace := &trace.Trace{}
-	r, err := run(opt.NewMIN(lruTrace), minTrace.Append)
-	if err != nil {
-		return nil, 0, err
-	}
-	mpki["min"] = r.MetaMPKI
-
-	// iterMIN: feed each run's trace into the next until the miss
-	// count stops moving.
-	prevTrace := minTrace
-	prevMPKI := r.MetaMPKI
-	rounds := 1
-	for ; rounds < iterMINCap; rounds++ {
-		nextTrace := &trace.Trace{}
-		r, err = run(opt.NewMIN(prevTrace), nextTrace.Append)
-		if err != nil {
-			return nil, 0, err
+	online.finish = func() (*plan, error) {
+		for name, j := range runs {
+			mpki[name] = j.res.MetaMPKI
 		}
-		converged := math.Abs(r.MetaMPKI-prevMPKI) <= 0.005*prevMPKI ||
-			nextTrace.Equal(prevTrace)
-		prevTrace, prevMPKI = nextTrace, r.MetaMPKI
-		if converged {
-			break
-		}
+		// MIN with (stale-able) future knowledge from the LRU trace.
+		return traced(lruTrace, func(r *sim.Result, minTrace *trace.Trace) *plan {
+			mpki["min"] = r.MetaMPKI
+			return round(1, minTrace, r.MetaMPKI)
+		}), nil
 	}
-	mpki["itermin"] = prevMPKI
-	return mpki, rounds, nil
+	return online
 }
 
 // Render prints the per-benchmark policy comparison.

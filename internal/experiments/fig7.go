@@ -40,31 +40,41 @@ type Fig7Result struct {
 // no metadata-cache partition, (ii) the best static counter/hash
 // split per application, (iii) the suite-average best split, and (iv)
 // set-dueling dynamic partitioning.
-func Fig7(opt Options) (*Fig7Result, error) {
-	opt.fill()
+func Fig7(opt Options) (*Fig7Result, error) { return runOne(opt, fig7) }
+
+// fig7Runs holds one benchmark's runs: the insecure baseline, the
+// unpartitioned cache, dynamic partitioning, and every static split.
+type fig7Runs struct {
+	baseline, none, dynamic *job
+	static                  [Fig7Ways]*job // index = counter ways
+}
+
+// fig7 plans Figure 7: every scheme of every benchmark, all sharing
+// the benchmark's front.
+func fig7(opt Options) (*Fig7Result, *plan, error) {
 	benches := opt.benchmarks([]string{"barnes", "canneal", "libquantum", "mcf", "fft", "leslie3d", "streamcluster", "gcc"})
 	for _, b := range benches {
 		if _, err := workload.New(b); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-
-	// Every scheme of one benchmark shares its front, so runAll
-	// simulates each benchmark's generator and hierarchy once per
-	// group.
-	var jobList []job
+	p := &plan{}
 	runs := map[string]*fig7Runs{}
 	for _, b := range benches {
-		r := &fig7Runs{}
+		mk := func(secure bool, scheme partition.Scheme) *job {
+			cfg := sim.Config{Benchmark: b, Instructions: opt.Instructions}
+			if secure {
+				cfg.Secure = true
+				cfg.Speculation = true
+				cfg.Meta = &metacache.Config{Size: Fig7CacheSize, Ways: Fig7Ways, Partition: scheme}
+			}
+			return p.run(cfg)
+		}
+		r := &fig7Runs{baseline: mk(false, nil), none: mk(true, nil), dynamic: mk(true, partition.NewDynamic(2, 6))}
+		for w := 1; w < Fig7Ways; w++ {
+			r.static[w] = mk(true, partition.NewStatic(w))
+		}
 		runs[b] = r
-		jobList = append(jobList, r.jobs(b, opt.Instructions)...)
-	}
-	if err := runAll(jobList, opt); err != nil {
-		return nil, err
-	}
-	data := map[string]*benchData{}
-	for _, b := range benches {
-		data[b] = runs[b].data()
 	}
 
 	res := &Fig7Result{
@@ -72,87 +82,34 @@ func Fig7(opt Options) (*Fig7Result, error) {
 		Overhead:   map[string]map[string]float64{},
 		BestSplit:  map[string]int{},
 	}
-	// Best split per benchmark, then the suite-average split.
-	splitSum := 0
-	for _, b := range benches {
-		best, bestED2 := 0, 0.0
-		for w, e := range data[b].static {
-			if best == 0 || e < bestED2 {
-				best, bestED2 = w, e
+	p.finish = func() (*plan, error) {
+		// Best split per benchmark, then the suite-average split.
+		splitSum := 0
+		for _, b := range benches {
+			best, bestED2 := 0, 0.0
+			for w := 1; w < Fig7Ways; w++ {
+				if e := runs[b].static[w].res.ED2; best == 0 || e < bestED2 {
+					best, bestED2 = w, e
+				}
+			}
+			res.BestSplit[b] = best
+			splitSum += best
+		}
+		res.AvgSplit = min(max((splitSum+len(benches)/2)/len(benches), 1), Fig7Ways-1)
+
+		for _, b := range benches {
+			r := runs[b]
+			ed2 := func(j *job) float64 { return energy.Normalized(j.res.ED2, r.baseline.res.ED2) }
+			res.Overhead[b] = map[string]float64{
+				"none":        ed2(r.none),
+				"best-static": ed2(r.static[res.BestSplit[b]]),
+				"avg-static":  ed2(r.static[res.AvgSplit]),
+				"dynamic":     ed2(r.dynamic),
 			}
 		}
-		res.BestSplit[b] = best
-		splitSum += best
+		return nil, nil
 	}
-	res.AvgSplit = (splitSum + len(benches)/2) / len(benches)
-	if res.AvgSplit < 1 {
-		res.AvgSplit = 1
-	}
-	if res.AvgSplit > Fig7Ways-1 {
-		res.AvgSplit = Fig7Ways - 1
-	}
-
-	for _, b := range benches {
-		d := data[b]
-		res.Overhead[b] = map[string]float64{
-			"none":        energy.Normalized(d.none, d.baseline),
-			"best-static": energy.Normalized(d.static[res.BestSplit[b]], d.baseline),
-			"avg-static":  energy.Normalized(d.static[res.AvgSplit], d.baseline),
-			"dynamic":     energy.Normalized(d.dynamic, d.baseline),
-		}
-	}
-	return res, nil
-}
-
-// benchData collects one benchmark's ED^2 under every scheme.
-type benchData struct {
-	baseline float64
-	none     float64
-	dynamic  float64
-	static   map[int]float64 // counter ways -> ED^2
-}
-
-// fig7Runs holds one benchmark's runs: the insecure baseline, the
-// unpartitioned cache, dynamic partitioning, and every static split.
-type fig7Runs struct {
-	baseline, none, dynamic *sim.Result
-	static                  [Fig7Ways]*sim.Result // index = counter ways
-}
-
-// jobs lists the runs for bench, each delivering into r.
-func (r *fig7Runs) jobs(bench string, instructions uint64) []job {
-	mk := func(out **sim.Result, secure bool, scheme partition.Scheme) job {
-		cfg := sim.Config{Benchmark: bench, Instructions: instructions}
-		if secure {
-			cfg.Secure = true
-			cfg.Speculation = true
-			cfg.Meta = &metacache.Config{Size: Fig7CacheSize, Ways: Fig7Ways, Partition: scheme}
-		}
-		return job{cfg: cfg, out: out}
-	}
-	jobList := []job{
-		mk(&r.baseline, false, nil),
-		mk(&r.none, true, nil),
-		mk(&r.dynamic, true, partition.NewDynamic(2, 6)),
-	}
-	for w := 1; w < Fig7Ways; w++ {
-		jobList = append(jobList, mk(&r.static[w], true, partition.NewStatic(w)))
-	}
-	return jobList
-}
-
-// data extracts the ED^2 of every run.
-func (r *fig7Runs) data() *benchData {
-	d := &benchData{
-		baseline: r.baseline.ED2,
-		none:     r.none.ED2,
-		dynamic:  r.dynamic.ED2,
-		static:   map[int]float64{},
-	}
-	for w := 1; w < Fig7Ways; w++ {
-		d.static[w] = r.static[w].ED2
-	}
-	return d
+	return res, p, nil
 }
 
 // Render prints the overhead table with each benchmark's best split.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -92,4 +93,45 @@ func TestRunElapsedCoversRender(t *testing.T) {
 	if rep.Elapsed <= 0 {
 		t.Fatalf("Elapsed = %v, want > 0", rep.Elapsed)
 	}
+}
+
+// TestRunManyMatchesRunEach: experiments run together — their plans
+// unioned phase by phase, so their runs share fronts — report exactly
+// the Result JSON each reports alone, host time aside. The set covers
+// plain grids (fig1, fig7), analyzer taps (fig3, tree-stretch), and
+// the phased plans (fig6's MIN rounds, CSOPT's replay).
+func TestRunManyMatchesRunEach(t *testing.T) {
+	names := []string{"fig1", "fig3", "fig6", "fig7", "tree-stretch", "csopt"}
+	opt := Options{Instructions: 20_000, Benchmarks: []string{"canneal", "libquantum"}, Parallelism: 2}
+	together, err := RunMany(names, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		alone, err := Run(name, opt, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reportJSON(t, together[i]), reportJSON(t, alone); got != want {
+			t.Errorf("%s run together differs from %s alone:\ntogether: %s\nalone:    %s", name, name, got, want)
+		}
+	}
+}
+
+// reportJSON is rep's JSON with its host times (Elapsed, CSOPT's
+// solve time) zeroed.
+func reportJSON(t *testing.T, rep *Report) string {
+	t.Helper()
+	r := *rep
+	r.Elapsed = 0
+	if cs, ok := r.Result.(*CSOPTResult); ok {
+		c := *cs
+		c.SolveTime = 0
+		r.Result = &c
+	}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/stats"
+	"github.com/maps-sim/mapsim/internal/sweep"
 )
 
 // SpecWindowResult quantifies the paper's §I caveat: "speculation is
@@ -37,8 +38,10 @@ var SpecWindowMetaSizes = []int{0, 16 << 10, 64 << 10}
 // size. With a metadata cache, verification walks are short and any
 // window hides them; with no cache, verification outruns small
 // windows and speculation stops helping.
-func SpecWindow(opt Options) (*SpecWindowResult, error) {
-	opt.fill()
+func SpecWindow(opt Options) (*SpecWindowResult, error) { return runOne(opt, specWindow) }
+
+// specWindow plans one run per benchmark, window, and cache size.
+func specWindow(opt Options) (*SpecWindowResult, *plan, error) {
 	benches := opt.benchmarks([]string{"canneal", "libquantum"})
 	res := &SpecWindowResult{
 		Benchmarks: benches,
@@ -52,8 +55,8 @@ func SpecWindow(opt Options) (*SpecWindowResult, error) {
 		window uint64
 		meta   int
 	}
-	results := map[key]**sim.Result{}
-	var jobs []job
+	p := &plan{}
+	runs := map[key]*job{}
 	for _, b := range benches {
 		for _, w := range SpecWindows {
 			for _, m := range SpecWindowMetaSizes {
@@ -67,32 +70,30 @@ func SpecWindow(opt Options) (*SpecWindowResult, error) {
 				if m > 0 {
 					cfg.Meta = &metacache.Config{Size: m}
 				}
-				slot := new(*sim.Result)
-				results[key{b, w, m}] = slot
-				jobs = append(jobs, job{cfg: cfg, out: slot})
+				runs[key{b, w, m}] = p.run(cfg)
 			}
 		}
 	}
-	if err := runAll(jobs, opt); err != nil {
-		return nil, err
-	}
-	for _, b := range benches {
-		res.Slowdown[b] = map[uint64]map[int]float64{}
-		res.StallShare[b] = map[uint64]map[int]float64{}
-		for _, w := range SpecWindows {
-			res.Slowdown[b][w] = map[int]float64{}
-			res.StallShare[b][w] = map[int]float64{}
-			for _, m := range SpecWindowMetaSizes {
-				r := *results[key{b, w, m}]
-				base := *results[key{b, 0, m}]
-				res.Slowdown[b][w][m] = float64(r.Cycles) / float64(base.Cycles)
-				if reads := r.Mem.DataReads; reads > 0 {
-					res.StallShare[b][w][m] = float64(r.SpecWindowStalls) / float64(reads)
+	p.finish = func() (*plan, error) {
+		for _, b := range benches {
+			res.Slowdown[b] = map[uint64]map[int]float64{}
+			res.StallShare[b] = map[uint64]map[int]float64{}
+			for _, w := range SpecWindows {
+				res.Slowdown[b][w] = map[int]float64{}
+				res.StallShare[b][w] = map[int]float64{}
+				for _, m := range SpecWindowMetaSizes {
+					r := runs[key{b, w, m}].res
+					base := runs[key{b, 0, m}].res
+					res.Slowdown[b][w][m] = float64(r.Cycles) / float64(base.Cycles)
+					if reads := r.Mem.DataReads; reads > 0 {
+						res.StallShare[b][w][m] = float64(r.SpecWindowStalls) / float64(reads)
+					}
 				}
 			}
 		}
+		return nil, nil
 	}
-	return res, nil
+	return res, p, nil
 }
 
 // Render prints the sweep.
@@ -106,7 +107,7 @@ func (r *SpecWindowResult) Render() string {
 		for _, m := range r.MetaSizes {
 			label := "none"
 			if m > 0 {
-				label = sizeLabel(m)
+				label = sweep.SizeLabel(m)
 			}
 			header = append(header, label)
 		}

@@ -9,7 +9,7 @@ import (
 	"github.com/maps-sim/mapsim/internal/reuse"
 	"github.com/maps-sim/mapsim/internal/sim"
 	"github.com/maps-sim/mapsim/internal/stats"
-	"github.com/maps-sim/mapsim/internal/trace"
+	"github.com/maps-sim/mapsim/internal/sweep"
 )
 
 // TreeStretchResult quantifies §IV-C's caveat: "because of the
@@ -28,8 +28,11 @@ type TreeStretchResult struct {
 
 // TreeStretch compares tree-node reuse distances with no metadata
 // cache (Figure 3's methodology) against a 64 KB metadata cache.
-func TreeStretch(opt Options) (*TreeStretchResult, error) {
-	opt.fill()
+func TreeStretch(opt Options) (*TreeStretchResult, error) { return runOne(opt, treeStretch) }
+
+// treeStretch plans each benchmark with and without a metadata cache,
+// each run feeding its own analyzer.
+func treeStretch(opt Options) (*TreeStretchResult, *plan, error) {
 	benches := opt.benchmarks([]string{"canneal", "libquantum"})
 	res := &TreeStretchResult{
 		Benchmarks:      benches,
@@ -37,45 +40,30 @@ func TreeStretch(opt Options) (*TreeStretchResult, error) {
 		CDF:             map[string]map[string][]float64{},
 		TreeAccessesPKI: map[string]map[string]float64{},
 	}
-	type run struct {
-		bench, name string
-		an          *reuse.Analyzer
-		out         *sim.Result
-	}
-	var runs []*run
-	var jobList []job
+	p := &plan{finish: func() (*plan, error) { return nil, nil }}
 	for _, b := range benches {
 		res.CDF[b] = map[string][]float64{}
 		res.TreeAccessesPKI[b] = map[string]float64{}
 		for _, cached := range []bool{false, true} {
-			r := &run{bench: b, name: "nocache", an: reuse.NewAnalyzer(int(opt.Instructions / 2))}
-			an := r.an
+			name := "nocache"
 			cfg := sim.Config{
 				Benchmark:    b,
 				Instructions: opt.Instructions,
 				Secure:       true,
 				Speculation:  true,
-				Tap: func(a trace.Access) {
-					an.Record(a.Addr, memlayout.Kind(a.Class), a.Write)
-				},
 			}
 			if cached {
-				r.name = "cached"
+				name = "cached"
 				cfg.Meta = &metacache.Config{Size: 64 << 10}
 			}
-			runs = append(runs, r)
-			jobList = append(jobList, job{cfg: cfg, out: &r.out})
+			p.analyze(cfg, func(an *reuse.Analyzer, r *sim.Result) {
+				res.CDF[b][name] = an.CDF(memlayout.KindTree, ReuseThresholds)
+				res.TreeAccessesPKI[b][name] = float64(an.Accesses(memlayout.KindTree)) /
+					(float64(r.Instructions) / 1000)
+			})
 		}
 	}
-	if err := runAll(jobList, opt); err != nil {
-		return nil, err
-	}
-	for _, r := range runs {
-		res.CDF[r.bench][r.name] = r.an.CDF(memlayout.KindTree, ReuseThresholds)
-		res.TreeAccessesPKI[r.bench][r.name] = float64(r.an.Accesses(memlayout.KindTree)) /
-			(float64(r.out.Instructions) / 1000)
-	}
-	return res, nil
+	return res, p, nil
 }
 
 // Render prints the comparison.
@@ -87,7 +75,7 @@ func (r *TreeStretchResult) Render() string {
 		var t stats.Table
 		header := []string{"config", "tree req/KI"}
 		for _, th := range r.Thresholds {
-			header = append(header, sizeLabel(int(th)))
+			header = append(header, sweep.SizeLabel(int(th)))
 		}
 		t.AddRow(header...)
 		for _, cfg := range []string{"nocache", "cached"} {

@@ -1,5 +1,5 @@
 // Package fleet is the one sweep executor: every sweep — `maps
-// sweep`, the figure experiments through RunLocal, and every mapsd
+// sweep`, every experiment's plan through RunLocal, and every mapsd
 // sweep — runs through a Coordinator. The Coordinator owns the
 // dispatch loop: it dedupes points through the shared result cache
 // before issuing any work, bounds in-flight points per worker, steals
@@ -253,6 +253,17 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 	if err != nil {
 		return nil, err
 	}
+	return c.run(ctx, points, spec.NoCache)
+}
+
+// run executes points, indexed 0..len-1 in order, as Run describes;
+// noCache skips the cache lookups (see sweep.Spec.NoCache).
+func (c *Coordinator) run(ctx context.Context, points []sweep.Point, noCache bool) (*sweep.Result, error) {
+	for i, p := range points {
+		if p.Index != i {
+			return nil, fmt.Errorf("fleet: point %d carries index %d", i, p.Index)
+		}
+	}
 	start := time.Now()
 	res := &sweep.Result{
 		Points: make([]sweep.PointResult, len(points)),
@@ -266,7 +277,7 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 		res:         res,
 		onPoint:     c.OnPoint,
 		maxAttempts: c.maxAttempts(),
-		noCache:     spec.NoCache,
+		noCache:     noCache,
 		healthy:     make(map[string]bool),
 	}
 
@@ -274,7 +285,7 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 	// any work.
 	var tasks []*task
 	for _, p := range points {
-		key, hit := c.lookup(rctx, spec, p, c.Completed[p.Index])
+		key, hit := c.lookup(rctx, noCache, p, c.Completed[p.Index])
 		if hit != nil {
 			r.mu.Lock()
 			r.deliver(sweep.PointResult{Point: p, Result: hit, Cached: true})
@@ -378,9 +389,9 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, 
 // run jobs dedupe against each other; a point whose config
 // cannot be canonicalized sweeps uncached. Keys and Hits supply what
 // the caller already computed. force consults the cache even under
-// NoCache — the recovered-point path, where the store is the completed
+// noCache — the recovered-point path, where the store is the completed
 // point's only surviving copy.
-func (c *Coordinator) lookup(ctx context.Context, spec sweep.Spec, p sweep.Point, force bool) (results.Key, *sim.Result) {
+func (c *Coordinator) lookup(ctx context.Context, noCache bool, p sweep.Point, force bool) (results.Key, *sim.Result) {
 	if c.Cache == nil {
 		return "", nil
 	}
@@ -396,7 +407,7 @@ func (c *Coordinator) lookup(ctx context.Context, spec sweep.Spec, p sweep.Point
 	if p.Index < len(c.Hits) {
 		return key, c.Hits[p.Index]
 	}
-	if spec.NoCache && !force {
+	if noCache && !force {
 		return key, nil
 	}
 	if v, ok := c.Cache.Get(ctx, key); ok {

@@ -76,11 +76,19 @@ func (r *PoolRunner) Healthy(context.Context) bool {
 	return r.Pool != nil && !r.Pool.Draining()
 }
 
-// RunLocal runs spec in this process: a Coordinator with one
+// RunLocal runs points in this process: a Coordinator with one
 // PoolRunner lane of parallelism slots (default NumCPU) over a
 // transient pool of the same size, with no cache — every point
-// simulates.
-func RunLocal(ctx context.Context, spec sweep.Spec, parallelism int) (*sweep.Result, error) {
+// simulates. Points are indexed 0..len-1 in order, as Spec.Expand
+// returns them; a caller holding a sweep.Spec expands it first. With
+// no cache nothing keys a point, so its Config may carry a per-point
+// Tap or policy instances the names leave alone (see Instantiate) —
+// the experiments' plans run this way. Points that share a front run
+// as one group (sweep.Groups), whichever caller they came from.
+// onPoint, when set, observes each point as it completes (see
+// Coordinator.OnPoint), so a caller can release per-point state
+// before the whole run ends.
+func RunLocal(ctx context.Context, points []sweep.Point, parallelism int, onPoint func(sweep.PointResult)) (*sweep.Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
@@ -90,6 +98,9 @@ func RunLocal(ctx context.Context, spec sweep.Spec, parallelism int) (*sweep.Res
 		return sim.WithConcurrency(ctx, parallelism)
 	}))
 	defer pool.Shutdown(context.Background())
-	coord := &Coordinator{Workers: []Worker{{Runner: &PoolRunner{Pool: pool}, MaxInflight: parallelism}}}
-	return coord.Run(ctx, spec)
+	coord := &Coordinator{
+		Workers: []Worker{{Runner: &PoolRunner{Pool: pool}, MaxInflight: parallelism}},
+		OnPoint: onPoint,
+	}
+	return coord.run(ctx, points, false)
 }

@@ -139,7 +139,7 @@ func (c ConfigSpec) ToSim() (sim.Config, error) {
 			L3Size: int(c.Hierarchy.L3Size), L3Ways: c.Hierarchy.L3Ways,
 		}
 	}
-	switch c.Org {
+	switch strings.ToLower(strings.TrimSpace(c.Org)) {
 	case "", "pi", "poisonivy":
 		cfg.Org = memlayout.PoisonIvy
 	case "sgx":
@@ -192,7 +192,7 @@ func (c ConfigSpec) pointNames() (string, string, error) {
 	}
 	pol := strings.ToLower(strings.TrimSpace(c.Meta.Policy))
 	part := strings.ToLower(strings.TrimSpace(c.Meta.Partition))
-	if _, err := sweep.NewPolicy(pol); err != nil {
+	if err := sweep.CheckPolicy(pol); err != nil {
 		return "", "", err
 	}
 	if _, err := sweep.NewPartition(part); err != nil {

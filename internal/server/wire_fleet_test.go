@@ -130,3 +130,30 @@ func TestSpecFromSimRejectsInexpressible(t *testing.T) {
 		})
 	}
 }
+
+// TestConfigSpecOrgNormalized: the wire's org, like its policy,
+// partition and content names, is case- and space-insensitive, and a
+// respelled org keys the same point as the plain one.
+func TestConfigSpecOrgNormalized(t *testing.T) {
+	key := func(org string) results.Key {
+		t.Helper()
+		p, err := ConfigSpec{Benchmark: "canneal", Instructions: 10_000, Org: org}.Point()
+		if err != nil {
+			t.Fatalf("org %q: %v", org, err)
+		}
+		if p.Config.Org != memlayout.SGX {
+			t.Fatalf("org %q: got organization %v, want SGX", org, p.Config.Org)
+		}
+		k, err := sweep.PointKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	want := key("sgx")
+	for _, org := range []string{"SGX", " Sgx "} {
+		if got := key(org); got != want {
+			t.Errorf("org %q keys %s, want %s (as \"sgx\")", org, got, want)
+		}
+	}
+}

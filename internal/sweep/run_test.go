@@ -55,6 +55,16 @@ func localCoordinator(pool *jobs.Pool) *fleet.Coordinator {
 	}}}
 }
 
+// runLocal expands spec and runs its points through fleet.RunLocal.
+func runLocal(t *testing.T, spec sweep.Spec, parallelism int) (*sweep.Result, error) {
+	t.Helper()
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet.RunLocal(context.Background(), points, parallelism, nil)
+}
+
 // TestEngineDedupe (named for the executor it first covered): a
 // repeated sweep is served wholly from the cache, and NoCache skips
 // the lookups but still stores every result.
@@ -119,7 +129,7 @@ func TestEngineFailFast(t *testing.T) {
 	// simulator (not divisible into 8-way 64B sets), deterministically.
 	spec := sweep.Fig1Spec()
 	spec.Axes.Meta = sweep.IntAxis{Points: []int{16 << 10, 100}}
-	_, err := fleet.RunLocal(context.Background(), spec, 2)
+	_, err := runLocal(t, spec, 2)
 	if err == nil {
 		t.Fatal("sweep with an unbuildable point succeeded")
 	}
@@ -153,7 +163,7 @@ func TestEngineCancelMidSweep(t *testing.T) {
 // zeroed) to running its materialized config directly.
 func TestSweepMatchesDirectRun(t *testing.T) {
 	spec := sweep.Fig1Spec()
-	res, err := fleet.RunLocal(context.Background(), spec, 4)
+	res, err := runLocal(t, spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestSweepMatchesDirectRun(t *testing.T) {
 }
 
 func TestResultRenderAndPivot(t *testing.T) {
-	res, err := fleet.RunLocal(context.Background(), sweep.Fig1Spec(), 4)
+	res, err := runLocal(t, sweep.Fig1Spec(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,7 @@ func TestGroupedSweepMatchesDirectRuns(t *testing.T) {
 	if g := sweep.Groups(points, 1); len(g) != 4 {
 		t.Fatalf("fig1 grid on one slot forms %d groups, want two per benchmark", len(g))
 	}
-	res, err := fleet.RunLocal(context.Background(), spec, 1)
+	res, err := runLocal(t, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -259,12 +260,26 @@ func PolicyNames() []string {
 	return []string{"plru", "lru", "fifo", "random", "srrip", "brrip", "eva", "eva-pertype", "typepred"}
 }
 
+// CheckPolicy validates a replacement-policy name against
+// PolicyNames ("" means the default) without building an instance —
+// the check every entry point makes at submit. NewPolicy refuses
+// exactly the names CheckPolicy does.
+func CheckPolicy(name string) error {
+	if name == "" || slices.Contains(PolicyNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("sweep: unknown policy %q (want one of %v)", name, PolicyNames())
+}
+
 // NewPolicy builds a fresh replacement-policy instance for the given
 // name ("" means the plru default, which returns nil — the metadata
 // cache's own default; "random" is seeded 1, so its runs repeat).
 // Policies are stateful, so every run must get its own instance; this
 // is the only constructor Instantiate uses.
 func NewPolicy(name string) (cache.Policy, error) {
+	if err := CheckPolicy(name); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "", DefaultPolicy:
 		return nil, nil
@@ -285,7 +300,7 @@ func NewPolicy(name string) (cache.Policy, error) {
 	case "typepred":
 		return typepred.New(), nil
 	}
-	return nil, fmt.Errorf("sweep: unknown policy %q (want one of %v)", name, PolicyNames())
+	return nil, fmt.Errorf("sweep: policy %q is listed but has no constructor", name)
 }
 
 // NewPartition builds a fresh partition-scheme instance for the given
@@ -312,10 +327,7 @@ func normalizePolicy(name string) (string, error) {
 	if name == "" {
 		return DefaultPolicy, nil
 	}
-	if _, err := NewPolicy(name); err != nil {
-		return "", err
-	}
-	return name, nil
+	return name, CheckPolicy(name)
 }
 
 // normalizePartition maps "" to "none", validating the rest.

@@ -142,6 +142,21 @@ func TestPolicyPartitionConstructors(t *testing.T) {
 	if p, err := NewPolicy(""); err != nil || p != nil {
 		t.Errorf("NewPolicy(\"\") = %v, %v; want nil, nil", p, err)
 	}
+	// The table check and the constructor agree: every listed name
+	// passes both, and an unknown one is refused by both.
+	for _, name := range PolicyNames() {
+		if err := CheckPolicy(name); err != nil {
+			t.Errorf("CheckPolicy(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"banana", "PLRU", " lru"} {
+		if CheckPolicy(name) == nil {
+			t.Errorf("CheckPolicy(%q) accepted", name)
+		}
+		if _, err := NewPolicy(name); err == nil {
+			t.Errorf("NewPolicy(%q) accepted", name)
+		}
+	}
 	for _, name := range []string{"none", "static:2", "dynamic", ""} {
 		if _, err := NewPartition(name); err != nil {
 			t.Errorf("NewPartition(%q): %v", name, err)

@@ -222,7 +222,11 @@ func TestLocalSweepMatchesDaemonSweep(t *testing.T) {
 		Meta:       meta,
 		Contents:   req.Axes.Contents,
 	}}
-	local, err := fleet.RunLocal(ctx, spec, req.Parallelism)
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := fleet.RunLocal(ctx, points, req.Parallelism, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
