@@ -41,9 +41,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Doc-comment lint: cliutil.MissingDocs enforced by its test — every
-# exported identifier in the API-surface packages stays documented.
+# exported identifier in the API-surface packages stays documented —
+# plus the check that fuzzsmoke lists exactly the repo's fuzz targets.
 lint:
-	$(GO) test -run TestRepoPackagesFullyDocumented ./internal/cliutil
+	$(GO) test -run 'TestRepoPackagesFullyDocumented|TestFuzzSmokeListsEveryFuzzTarget' ./internal/cliutil
 
 test:
 	$(GO) test ./...
@@ -67,14 +68,16 @@ race:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(PIPELINE_TESTS)' ./internal/sim
 
-# Ten seconds of coverage-guided fuzzing per target. Six targets are
-# decoders that parse untrusted bytes: the trace readers (legacy and
-# streaming), the workload-spec parser (hand-rolled YAML fed by user
+# Ten seconds of coverage-guided fuzzing per target. Five targets are
+# decoders that parse untrusted bytes: the trace reader (the one
+# on-disk trace format), the workload-spec parser (hand-rolled YAML fed by user
 # files and wire requests), the store's envelope decoder (fed by disk
 # records and peer responses), the store's segment reader (Open and
 # Get over a crash-scrambled segment log), and the sweep journal's
-# record decoder (fed by crash-scrambled WAL files). The last three are
-# differential: one holds the hierarchy's recency-ordered true-LRU
+# record decoder (fed by crash-scrambled WAL files). One checks that
+# the memory layout classifies every in-range address, and metadata
+# addresses derived from data addresses, to the right kind. The last
+# three are differential: one holds the hierarchy's recency-ordered true-LRU
 # level to cache.Cache with policy.LRU on fuzzer-chosen geometries and
 # access streams, one the metadata cache's packed sets to cache.Cache
 # with the same PLRU or LRU policy on fuzzer-chosen geometries,
@@ -83,10 +86,12 @@ race:
 # fuzzer-chosen layouts and write streams.
 # Enough to catch regressions on malformed or adversarial input without
 # slowing the gate meaningfully. Fuzz corpus findings land in each
-# package's testdata.
+# package's testdata. TestFuzzSmokeListsEveryFuzzTarget
+# (internal/cliutil) fails when this list and the repo's fuzz targets
+# differ: `go test -fuzz=` on a package without the target only warns.
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz=FuzzReadStream -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzClassifyRoundTrip -fuzztime=10s ./internal/memlayout
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeWorkloadSpec -fuzztime=10s ./internal/workload/spec
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz=FuzzOpenSegment -fuzztime=10s ./internal/store

@@ -12,9 +12,11 @@
 //
 // record taps the simulator's metadata stream (counters, hashes, tree
 // levels); record-workload captures the *workload's* data-access
-// stream instead, in the chunked streaming format that `maps run
-// -trace` replays in constant memory. Both info and analyze stream
-// their input, so multi-gigabyte traces never load into memory.
+// stream instead, which `maps run -trace` replays in constant memory.
+// Both write the one chunked streaming format, metadata traces with
+// their header's Meta bit set, and both stream to disk as they record.
+// info and analyze stream their input too, so multi-gigabyte traces
+// never load into memory.
 package main
 
 import (
@@ -103,23 +105,30 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
-	var tr trace.Trace
-	cfg.Tap = tr.Append
-	if _, err := sim.Run(cfg); err != nil {
-		return err
-	}
 
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	n, err := tr.WriteTo(f)
+	defer f.Close() // error paths; success checks Close below
+	w, err := trace.NewWriter(f, trace.StreamHeader{Name: *bench, Meta: true}, false)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d metadata accesses (%d bytes) from %s to %s\n",
-		tr.Len(), n, *bench, *out)
+	cfg.Tap = func(a trace.Access) {
+		// A failed write sticks in the Writer, and Close reports it.
+		_ = w.Write(trace.Record{Addr: a.Addr, Write: a.Write, Class: a.Class, Cost: a.Cost})
+	}
+	if _, err := sim.Run(cfg); err != nil {
+		return err
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("recorded %d metadata accesses from %s to %s\n", w.Count(), *bench, *out)
 	return nil
 }
 
@@ -209,7 +218,7 @@ func recordWorkload(args []string) error {
 }
 
 // withReader opens the single trace-file argument as a streaming
-// reader (both the streaming and legacy formats) and hands it to fn.
+// reader and hands it to fn.
 func withReader(args []string, fn func(*trace.Reader) error) error {
 	if len(args) != 1 {
 		return fmt.Errorf("expected exactly one trace file argument")
@@ -263,11 +272,15 @@ func info(r *trace.Reader) error {
 			g.costMax = rec.Cost
 		}
 	}
-	if h := r.Header(); h.Name != "" {
+	h := r.Header()
+	switch {
+	case h.Meta:
+		fmt.Printf("metadata trace of %s\n", h.Name)
+	case h.Name != "":
 		fmt.Printf("workload: %s (footprint %d bytes)\n", h.Name, h.Footprint)
 	}
 	fmt.Printf("trace: %d accesses", total)
-	if total > 0 {
+	if total > 0 && !h.Meta { // metadata records carry no gaps
 		fmt.Printf(", mean gap %.2f", float64(gapSum)/float64(total))
 	}
 	fmt.Print("\n\n")

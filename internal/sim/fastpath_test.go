@@ -47,6 +47,8 @@ func TestFastPathBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkIdentities(t, cfg, fast)
+			checkIdentities(t, slow, generic)
 			// Wall-clock timing legitimately differs between the paths.
 			fast.Timing = PhaseTiming{}
 			generic.Timing = PhaseTiming{}

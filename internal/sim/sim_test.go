@@ -145,20 +145,24 @@ func TestTapRecordsTrace(t *testing.T) {
 }
 
 func TestSGXOrganizationRuns(t *testing.T) {
-	r, err := Run(Config{Benchmark: "libquantum", Instructions: 100_000, Secure: true,
+	sgxCfg := Config{Benchmark: "libquantum", Instructions: 100_000, Secure: true,
 		Org:  memlayout.SGX,
-		Meta: &metacache.Config{Size: 64 << 10, Ways: 8}})
+		Meta: &metacache.Config{Size: 64 << 10, Ways: 8}}
+	r, err := Run(sgxCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkIdentities(t, sgxCfg, r)
 	// SGX counter blocks cover 8x less data: more counter traffic
 	// than PI for a streaming workload.
-	pi, err := Run(Config{Benchmark: "libquantum", Instructions: 100_000, Secure: true,
+	piCfg := Config{Benchmark: "libquantum", Instructions: 100_000, Secure: true,
 		Org:  memlayout.PoisonIvy,
-		Meta: &metacache.Config{Size: 64 << 10, Ways: 8}})
+		Meta: &metacache.Config{Size: 64 << 10, Ways: 8}}
+	pi, err := Run(piCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkIdentities(t, piCfg, pi)
 	sgxC := r.Meta[memlayout.KindCounter]
 	piC := pi.Meta[memlayout.KindCounter]
 	if sgxC.Misses <= piC.Misses {

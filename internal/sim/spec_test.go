@@ -100,14 +100,18 @@ func TestSpecReplayMatchesDirect(t *testing.T) {
 	// replay must not wrap or the streams diverge.
 	path := recordSpecTrace(t, sp, 1, 300_000)
 
-	direct, err := Run(Config{WorkloadSpec: sp, Instructions: 200_000, Secure: true, Speculation: true})
+	directCfg := Config{WorkloadSpec: sp, Instructions: 200_000, Secure: true, Speculation: true}
+	direct, err := Run(directCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := Run(Config{TracePath: path, Instructions: 200_000, Secure: true, Speculation: true})
+	replayCfg := Config{TracePath: path, Instructions: 200_000, Secure: true, Speculation: true}
+	replay, err := Run(replayCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkIdentities(t, directCfg, direct)
+	checkIdentities(t, replayCfg, replay)
 	stripExecution(direct, replay)
 	if !reflect.DeepEqual(direct, replay) {
 		t.Errorf("replay diverged from direct run:\n direct: instrs=%d cycles=%d llc=%+v\n replay: instrs=%d cycles=%d llc=%+v",
@@ -130,7 +134,8 @@ func TestSpecShardsBitIdentical(t *testing.T) {
 
 // TestTraceReplayPipelinedBitIdentical: a trace replay (one file
 // handle, one cursor) feeds the front stage like any generator, so
-// it pipelines and must match its inline run bit for bit.
+// it pipelines and must match its inline run bit for bit; runTwin
+// also holds the pipelined Result to checkIdentities.
 func TestTraceReplayPipelinedBitIdentical(t *testing.T) {
 	forcePipelined(t)
 	sp := parseSpecT(t)

@@ -1,15 +1,10 @@
 // Package trace records metadata-access traces so that offline
 // replacement policies (Belady's MIN, iterMIN, CSOPT) can replay them
 // as "future knowledge", exactly as MAPS §V-B does: the trace is
-// gathered under true LRU and fed back into the simulator.
+// gathered under true LRU and fed back into the simulator. Trace
+// holds such a trace in memory; on disk, metadata and workload traces
+// alike use the one chunked streaming format of Reader and Writer.
 package trace
-
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
 
 // Access is one recorded cache access.
 type Access struct {
@@ -59,112 +54,4 @@ func (t *Trace) Equal(o *Trace) bool {
 		}
 	}
 	return true
-}
-
-const magic = uint32(0x4D545243) // "MTRC"
-
-// WriteTo serializes the trace in a compact binary format.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(magic); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(t.Accesses))); err != nil {
-		return n, err
-	}
-	for _, a := range t.Accesses {
-		flags := a.Class << 1
-		if a.Write {
-			flags |= 1
-		}
-		if err := write(a.Addr); err != nil {
-			return n, err
-		}
-		if err := write(flags); err != nil {
-			return n, err
-		}
-		if err := write(a.Cost); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadFrom deserializes a trace written by WriteTo, replacing the
-// receiver's contents.
-func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
-	br := bufio.NewReader(r)
-	var n int64
-	read := func(v any) error {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	var m uint32
-	if err := read(&m); err != nil {
-		return n, err
-	}
-	if m != magic {
-		return n, fmt.Errorf("trace: bad magic %#x", m)
-	}
-	var count uint64
-	if err := read(&count); err != nil {
-		// The magic decoded, so this is a trace header cut short — not
-		// a clean end of anything.
-		return n, fmt.Errorf("trace: truncated header: %w", noEOF(err))
-	}
-	// Never trust the declared count for allocation: a corrupt or
-	// malicious header could demand terabytes. Pre-size within reason
-	// and let append grow if the data really is that long.
-	capHint := count
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	t.Accesses = make([]Access, 0, capHint)
-	for i := uint64(0); i < count; i++ {
-		var a Access
-		var flags uint8
-		if err := read(&a.Addr); err != nil {
-			return n, recordErr(err, i, count)
-		}
-		if err := read(&flags); err != nil {
-			return n, recordErr(err, i, count)
-		}
-		if err := read(&a.Cost); err != nil {
-			return n, recordErr(err, i, count)
-		}
-		a.Write = flags&1 != 0
-		a.Class = flags >> 1
-		t.Accesses = append(t.Accesses, a)
-	}
-	return n, nil
-}
-
-// recordErr maps a failure while decoding record i of a declared count
-// to an explicit error. The header promised count records, so running
-// out of bytes here — whether at a record boundary (binary.Read's bare
-// io.EOF) or mid-record — is a truncated stream or a corrupt count,
-// never a clean end; callers must not mistake it for one, and must not
-// silently keep a short prefix.
-func recordErr(err error, i, count uint64) error {
-	return fmt.Errorf("trace: truncated: %d of %d declared records decoded: %w", i, count, noEOF(err))
-}
-
-// noEOF upgrades a clean-looking io.EOF to io.ErrUnexpectedEOF so that
-// errors.Is reports truncation, not end-of-stream.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

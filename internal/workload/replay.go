@@ -24,21 +24,21 @@ type traceReplay struct {
 
 // NewTraceReplay opens a streaming trace (recorded with `mapstrace
 // record-workload`) for replay as a workload generator. The file must
-// carry a workload header — name, footprint — and at least one
-// record. The generator ignores the Reset seed (a trace is already a
-// fixed sequence) and wraps around at end-of-trace. I/O failure after
-// open (a truncated or vanished file mid-run) panics with the file
-// position, since Generator.Next has no error path; the daemon's job
-// pool isolates such panics to the submitting job.
+// carry a workload header — name, footprint, no Meta bit — and at
+// least one record. The generator ignores the Reset seed (a trace is
+// already a fixed sequence) and wraps around at end-of-trace. I/O
+// failure after open (a truncated or vanished file mid-run) panics
+// with the file position, since Generator.Next has no error path; the
+// daemon's job pool isolates such panics to the submitting job.
 func NewTraceReplay(path string) (Generator, error) {
 	g := &traceReplay{path: path}
 	if err := g.open(); err != nil {
 		return nil, err
 	}
 	hdr := g.r.Header()
-	if hdr.Name == "" || hdr.Footprint == 0 {
+	if hdr.Meta || hdr.Name == "" || hdr.Footprint == 0 {
 		g.f.Close()
-		return nil, fmt.Errorf("workload: %s is not a workload trace (no name/footprint header; record one with `mapstrace record-workload`)", path)
+		return nil, fmt.Errorf("workload: %s is not a workload trace (a metadata trace, or no name/footprint header); record one with `mapstrace record-workload`", path)
 	}
 	var rec trace.Record
 	if err := g.r.Next(&rec); err != nil {

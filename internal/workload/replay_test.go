@@ -3,6 +3,7 @@ package workload_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/maps-sim/mapsim/internal/trace"
@@ -75,20 +76,33 @@ func TestTraceReplayRejectsBadInputs(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 
-	// A headerless (legacy-format) trace can't size the address space.
-	legacy := filepath.Join(t.TempDir(), "legacy.trace")
-	tr := &trace.Trace{}
-	tr.Append(trace.Access{Addr: 64})
-	f, err := os.Create(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := workload.NewTraceReplay(legacy); err == nil {
-		t.Error("headerless trace accepted for replay")
+	// A metadata trace (`mapstrace record`) holds engine accesses, not a
+	// workload's, and a stream without a name/footprint header cannot
+	// size the address space: replay refuses both and names the
+	// recorder to use.
+	for name, hdr := range map[string]trace.StreamHeader{
+		"metadata":   {Name: "canneal", Meta: true},
+		"headerless": {},
+	} {
+		path := filepath.Join(t.TempDir(), name+".trace")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := trace.NewWriter(f, hdr, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(trace.Record{Addr: 64, Class: 1, Cost: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if _, err := workload.NewTraceReplay(path); err == nil || !strings.Contains(err.Error(), "mapstrace record-workload") {
+			t.Errorf("%s trace: err = %v, want a refusal naming mapstrace record-workload", name, err)
+		}
 	}
 
 	// An empty (zero-record) trace has nothing to replay.

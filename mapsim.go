@@ -154,8 +154,10 @@ func ParseWorkloadSpec(data []byte) (*WorkloadSpec, error) { return spec.Parse(d
 // when the simulation outruns the recording.
 func NewTraceReplay(path string) (Generator, error) { return workload.NewTraceReplay(path) }
 
-// Streaming trace I/O: constant-memory readers and writers for
-// recorded access streams (the `mapstrace record-workload` format).
+// Streaming trace I/O: constant-memory readers and writers for the
+// one on-disk trace format, shared by metadata traces (`mapstrace
+// record`, header Meta set) and workload traces (`mapstrace
+// record-workload`).
 type (
 	// TraceRecord is one streamed trace record.
 	TraceRecord = trace.Record
@@ -167,8 +169,8 @@ type (
 	TraceStreamHeader = trace.StreamHeader
 )
 
-// NewTraceReader opens a streaming trace reader; it accepts both the
-// streaming format and the legacy in-memory trace format.
+// NewTraceReader opens a streaming trace reader over a metadata or a
+// workload trace; its Header tells which.
 func NewTraceReader(r io.Reader) (*TraceReader, error) { return trace.NewReader(r) }
 
 // NewTraceWriter opens a streaming trace writer (optionally
