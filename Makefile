@@ -76,14 +76,19 @@ race:
 # Get over a crash-scrambled segment log), and the sweep journal's
 # record decoder (fed by crash-scrambled WAL files). One checks that
 # the memory layout classifies every in-range address, and metadata
-# addresses derived from data addresses, to the right kind. The last
+# addresses derived from data addresses, to the right kind. The next
 # three are differential: one holds the hierarchy's recency-ordered true-LRU
 # level to cache.Cache with policy.LRU on fuzzer-chosen geometries and
 # access streams, one the metadata cache's packed sets to cache.Cache
 # with the same PLRU or LRU policy on fuzzer-chosen geometries,
 # partitions, partial-write settings and access streams, and the last
 # the engine's two-tier split-counter table to a per-page map on
-# fuzzer-chosen layouts and write streams.
+# fuzzer-chosen layouts and write streams. The two result decoders'
+# targets hold the canonical fast path of sim.Result and sweep.Result
+# to encoding/json on any input: the same error-ness and the same value.
+# Those two cap minimization at 1s: while a worker minimizes a newly
+# interesting input (for up to 60s by default) it runs no new inputs,
+# and on their 3-30 KB results it went on until the 10s were up.
 # Enough to catch regressions on malformed or adversarial input without
 # slowing the gate meaningfully. Fuzz corpus findings land in each
 # package's testdata. TestFuzzSmokeListsEveryFuzzTarget
@@ -99,6 +104,8 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s ./internal/hierarchy
 	$(GO) test -run '^$$' -fuzz=FuzzMetaSetsMatchCache -fuzztime=10s ./internal/metacache
 	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s ./internal/secmem/engine
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeSweepResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sweep
 
 # Full benchmark pass: measure the access kernel and end-to-end runs,
 # then record the numbers into BENCH_kernel.json's current section.

@@ -248,6 +248,16 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if out == nil {
 		return nil
 	}
+	// A reply type with its own decoder (a sweep Result) gets the
+	// whole body in one call: through json.Decoder the body would be
+	// scanned once to find the value and again before the method.
+	if u, ok := out.(json.Unmarshaler); ok {
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		return u.UnmarshalJSON(data)
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 

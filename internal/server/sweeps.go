@@ -478,8 +478,8 @@ func (s *Server) journalPoint(j *sweepJob, pr sweep.PointResult) {
 // past the registry cap. Running sweeps are never evicted. A sweep's
 // journal goes with its registry entry — by then its points live in
 // the result store, so nothing irreplaceable is lost. Called
-// opportunistically on submissions and /metrics scrapes; only a
-// registry over its cap pays for sorting by finish time.
+// opportunistically on submissions and /metrics scrapes; a registry
+// over its cap pays one pass over its sweeps (evictionOrder).
 func (s *Server) evictSweeps(now time.Time) {
 	if s.sweepTTL <= 0 && s.maxSweeps <= 0 {
 		return
@@ -490,26 +490,9 @@ func (s *Server) evictSweeps(now time.Time) {
 	s.mu.Lock()
 	var evicted []string
 	if over := len(s.sweeps) - s.maxSweeps; s.maxSweeps > 0 && over > 0 {
-		type cand struct {
-			id       string
-			finished time.Time
-		}
-		var terminal []cand
-		for id, j := range s.sweeps {
-			if state, finished := j.finishState(); state.Terminal() {
-				terminal = append(terminal, cand{id, finished})
-			}
-		}
-		slices.SortFunc(terminal, func(a, b cand) int {
-			return a.finished.Compare(b.finished)
-		})
-		for _, c := range terminal {
-			if over <= 0 && !expired(c.finished) {
-				break
-			}
-			delete(s.sweeps, c.id)
-			over--
-			evicted = append(evicted, c.id)
+		evicted = evictionOrder(s.sweeps, over, expired)
+		for _, id := range evicted {
+			delete(s.sweeps, id)
 		}
 	} else if s.sweepTTL > 0 {
 		for id, j := range s.sweeps {
@@ -527,6 +510,44 @@ func (s *Server) evictSweeps(now time.Time) {
 		}
 		s.log.Debug("sweep evicted", "sweep", id)
 	}
+}
+
+// evictionOrder returns, oldest-finished first, the terminal sweeps a
+// registry over its cap by over evicts: every expired one, and the
+// oldest others until over are gone. Expiry is monotone in finish
+// time, so that is the max(over, expired) oldest terminal sweeps. One
+// pass keeps the over oldest unexpired sweeps in a sorted window, so
+// only what is evicted is ever sorted.
+func evictionOrder(sweeps map[string]*sweepJob, over int, expired func(time.Time) bool) []string {
+	type cand struct {
+		id       string
+		finished time.Time
+	}
+	byFinish := func(a, b cand) int { return a.finished.Compare(b.finished) }
+	var gone, oldest []cand
+	for id, j := range sweeps {
+		state, finished := j.finishState()
+		switch c := (cand{id, finished}); {
+		case !state.Terminal():
+		case expired(finished):
+			gone = append(gone, c)
+		case len(oldest) < over || finished.Before(oldest[over-1].finished):
+			i, _ := slices.BinarySearchFunc(oldest, c, byFinish)
+			oldest = slices.Insert(oldest, i, c)
+			if len(oldest) > over {
+				oldest = oldest[:over]
+			}
+		}
+	}
+	slices.SortFunc(gone, byFinish)
+	if more := over - len(gone); more > 0 {
+		gone = append(gone, oldest[:min(more, len(oldest))]...)
+	}
+	ids := make([]string, len(gone))
+	for i, c := range gone {
+		ids[i] = c.id
+	}
+	return ids
 }
 
 // awaitSweeps blocks (bounded by ctx) until every sweep coordinator

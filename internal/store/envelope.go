@@ -195,7 +195,7 @@ func (e *Envelope) Value() (any, error) {
 	switch e.Kind {
 	case KindRun:
 		v := new(sim.Result)
-		if err := json.Unmarshal(e.Payload, v); err != nil {
+		if err := v.UnmarshalJSON(e.Payload); err != nil {
 			return nil, corrupt("run payload: %v", err)
 		}
 		return v, nil

@@ -71,37 +71,49 @@ type Result struct {
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// axisLabels returns the distinct labels of an axis in grid order.
-func (r *Result) axisLabels(axis string) []string {
-	var labels []string
-	seen := make(map[string]bool)
+// pointLabels returns every point's label on axis, in grid order.
+func (r *Result) pointLabels(axis string) []string {
+	labels := make([]string, len(r.Points))
 	for i := range r.Points {
-		l := r.Points[i].Label(axis)
-		if !seen[l] {
-			seen[l] = true
-			labels = append(labels, l)
-		}
+		labels[i] = r.Points[i].Label(axis)
 	}
 	return labels
 }
+
+// distinct returns the distinct labels in first-seen order.
+func distinct(labels []string) []string {
+	var out []string
+	seen := make(map[string]bool)
+	for _, l := range labels {
+		if !seen[l] {
+			seen[l] = true
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// axisLabels returns the distinct labels of an axis in grid order.
+func (r *Result) axisLabels(axis string) []string { return distinct(r.pointLabels(axis)) }
 
 // Aggregate fills Geomeans for every axis that actually varies. The
 // fleet coordinator calls it once, after the last point lands; the
 // computation is deterministic in the grid order, so two sweeps of
 // the same spec aggregate byte-identically no matter which worker ran
-// which point.
+// which point. Each point's label on each axis is rendered once.
 func (r *Result) Aggregate() {
 	for _, axis := range AxisNames() {
-		labels := r.axisLabels(axis)
-		if len(labels) < 2 {
+		labels := r.pointLabels(axis)
+		groups := distinct(labels)
+		if len(groups) < 2 {
 			continue
 		}
-		for _, label := range labels {
+		for _, label := range groups {
 			var llc, meta, ipc, ed2 []float64
 			n := 0
 			for i := range r.Points {
 				p := &r.Points[i]
-				if p.Result == nil || p.Label(axis) != label {
+				if p.Result == nil || labels[i] != label {
 					continue
 				}
 				n++
