@@ -86,24 +86,25 @@ race:
 # fuzzer-chosen layouts and write streams. The two result decoders'
 # targets hold the canonical fast path of sim.Result and sweep.Result
 # to encoding/json on any input: the same error-ness and the same value.
-# Those two cap minimization at 1s: while a worker minimizes a newly
-# interesting input (for up to 60s by default) it runs no new inputs,
-# and on their 3-30 KB results it went on until the 10s were up.
+# Every target caps minimization at 1s: while a worker minimizes a
+# newly interesting input (for up to 60s by default) it runs no new
+# inputs, and on four of the targets and both result decoders that
+# went on until the 10s were up.
 # Enough to catch regressions on malformed or adversarial input without
 # slowing the gate meaningfully. Fuzz corpus findings land in each
 # package's testdata. TestFuzzSmokeListsEveryFuzzTarget
 # (internal/cliutil) fails when this list and the repo's fuzz targets
 # differ: `go test -fuzz=` on a package without the target only warns.
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz=FuzzClassifyRoundTrip -fuzztime=10s ./internal/memlayout
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeWorkloadSpec -fuzztime=10s ./internal/workload/spec
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/store
-	$(GO) test -run '^$$' -fuzz=FuzzOpenSegment -fuzztime=10s ./internal/store
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeJournalRecord -fuzztime=10s ./internal/journal
-	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s ./internal/hierarchy
-	$(GO) test -run '^$$' -fuzz=FuzzMetaSetsMatchCache -fuzztime=10s ./internal/metacache
-	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s ./internal/secmem/engine
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzClassifyRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/memlayout
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeWorkloadSpec -fuzztime=10s -fuzzminimizetime=1s ./internal/workload/spec
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+	$(GO) test -run '^$$' -fuzz=FuzzOpenSegment -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeJournalRecord -fuzztime=10s -fuzzminimizetime=1s ./internal/journal
+	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s -fuzzminimizetime=1s ./internal/hierarchy
+	$(GO) test -run '^$$' -fuzz=FuzzMetaSetsMatchCache -fuzztime=10s -fuzzminimizetime=1s ./internal/metacache
+	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s -fuzzminimizetime=1s ./internal/secmem/engine
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeSweepResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sweep
 

@@ -145,20 +145,6 @@ type KindStats struct {
 	PartialMiss uint64
 }
 
-// Result reports one metadata access.
-type Result struct {
-	// Hit means no memory access is needed for this block: tag hit
-	// and, when slot-addressed, the slot held data.
-	Hit bool
-	// TagHit means the block was present (even if the slot wasn't
-	// filled).
-	TagHit bool
-	// Evicted lists dirty blocks displaced by this access that the
-	// memory controller must now write back (and whose tree updates
-	// it must perform).
-	Evicted []Evicted
-}
-
 // Evicted describes a displaced dirty block.
 type Evicted struct {
 	Addr  uint64
@@ -168,6 +154,22 @@ type Evicted struct {
 	// writeback needs one fill read first.
 	Partial bool
 }
+
+// classRow maps each class byte to its row of MetaCache.counts:
+// counters, hashes, then one per tree level. A class of no metadata
+// kind maps to 0xFF, which fails the bounds check.
+var classRow = func() (rows [256]uint8) {
+	for c := range rows {
+		rows[c] = 0xFF
+		switch kind, level := DecodeClass(uint8(c)); kind {
+		case memlayout.KindCounter, memlayout.KindHash:
+			rows[c] = uint8(kind) - 1
+		case memlayout.KindTree:
+			rows[c] = 2 + uint8(level)
+		}
+	}
+	return rows
+}()
 
 // MetaCache is the type-aware metadata cache. A built-in PLRU or LRU
 // policy runs on the cache's own packed sets; any other policy, a
@@ -189,10 +191,10 @@ type MetaCache struct {
 	partialOK   [4]bool
 	fullMask    uint64
 	setMask     uint64
-	perKind     [4]KindStats
-	perLevel    [16]KindStats // tree accesses split by level
-	scratch     []Evicted
-	cfg         Config
+	// counts holds each lookup's outcome once, in its class's row
+	// (classRow); every stats view sums it on read.
+	counts [2 + 16]KindStats
+	cfg    Config
 }
 
 // classObserver is the optional per-class learning hook type-aware
@@ -271,38 +273,40 @@ func (m *MetaCache) PolicyName() string { return m.cfg.Policy.Name() }
 // PartialWrites reports whether write-miss placeholders are enabled.
 func (m *MetaCache) PartialWrites() bool { return m.cfg.PartialWrites }
 
-// Allows reports whether the content policy admits a kind.
-func (m *MetaCache) Allows(kind memlayout.Kind) bool { return m.cfg.Content.Allows(kind) }
-
-// fillAccesses derives the access total from its disjoint components;
-// the hot path maintains only the components (one fewer counter
-// update per access).
-func fillAccesses(s KindStats) KindStats {
-	s.Accesses = s.Hits + s.Misses + s.Bypassed
-	return s
+// sum adds rows of counts up, deriving Accesses from the disjoint
+// components the hot path maintains.
+func sum(rows []KindStats) (t KindStats) {
+	for _, r := range rows {
+		t.Hits += r.Hits
+		t.Misses += r.Misses
+		t.Bypassed += r.Bypassed
+		t.PartialMiss += r.PartialMiss
+	}
+	t.Accesses = t.Hits + t.Misses + t.Bypassed
+	return t
 }
 
 // KindStats returns per-kind counters.
-func (m *MetaCache) KindStats(kind memlayout.Kind) KindStats { return fillAccesses(m.perKind[kind]) }
+func (m *MetaCache) KindStats(kind memlayout.Kind) KindStats {
+	switch kind {
+	case memlayout.KindCounter, memlayout.KindHash:
+		return sum(m.counts[kind-1 : kind])
+	case memlayout.KindTree:
+		return sum(m.counts[2:])
+	}
+	return KindStats{}
+}
 
 // LevelStats returns the counters for tree accesses at one level
 // (leaf = 0). The paper's observation that upper levels cache better
 // (they cover more data) is directly visible here.
-func (m *MetaCache) LevelStats(level int) KindStats { return fillAccesses(m.perLevel[level&0xF]) }
+func (m *MetaCache) LevelStats(level int) KindStats {
+	i := classRow[EncodeClass(memlayout.KindTree, level)]
+	return sum(m.counts[i : i+1])
+}
 
 // TotalStats sums the per-kind counters over metadata kinds.
-func (m *MetaCache) TotalStats() KindStats {
-	var t KindStats
-	for _, k := range memlayout.MetaKinds {
-		s := fillAccesses(m.perKind[k])
-		t.Accesses += s.Accesses
-		t.Hits += s.Hits
-		t.Misses += s.Misses
-		t.Bypassed += s.Bypassed
-		t.PartialMiss += s.PartialMiss
-	}
-	return t
-}
+func (m *MetaCache) TotalStats() KindStats { return sum(m.counts[:]) }
 
 // CacheStats exposes the underlying cache counters.
 func (m *MetaCache) CacheStats() cache.Stats {
@@ -314,8 +318,7 @@ func (m *MetaCache) CacheStats() cache.Stats {
 
 // ResetStats zeroes all statistics (contents persist), for warmup.
 func (m *MetaCache) ResetStats() {
-	m.perKind = [4]KindStats{}
-	m.perLevel = [16]KindStats{}
+	clear(m.counts[:])
 	if m.ref != nil {
 		m.ref.ResetStats()
 	} else {
@@ -339,29 +342,25 @@ func (m *MetaCache) Occupancy(kind int) int {
 	return n
 }
 
-// Access performs one metadata access. slot addresses an 8 B entry
-// within the block for hash/tree partial-write tracking; pass -1 for
-// whole-block semantics (counters). The returned Evicted slice is
-// reused across calls.
-func (m *MetaCache) Access(addr uint64, kind memlayout.Kind, level int, write bool, slot int) Result {
-	st := &m.perKind[kind]
-	var lv *KindStats
-	if kind == memlayout.KindTree {
-		lv = &m.perLevel[level&0xF]
-	}
-
+// Access looks up the block at addr for class (EncodeClass(kind,
+// level)), filling it on a miss; a class the content policy excludes is
+// counted as bypassed instead. slot addresses an 8 B entry for
+// hash/tree partial writes, -1 the whole block. hit means no memory
+// access is needed; tagHit that the block was present, even if the
+// slot was not. evFlags is non-zero when the fill displaced a dirty
+// block, which DecodeEvicted(evAddr, evFlags) describes.
+func (m *MetaCache) Access(addr uint64, class uint8, write bool, slot int) (hit, tagHit bool, evAddr, evFlags uint64) {
+	st := &m.counts[classRow[class]]
+	kind := memlayout.Kind(class >> 4 & 3)
 	if !m.allow[kind] {
 		st.Bypassed++
-		if lv != nil {
-			lv.Bypassed++
-		}
-		return Result{}
+		return false, false, 0, 0
 	}
 
 	// Type-aware predictors learn from the (kind, level, request
 	// type) signature of each access.
 	if m.observer != nil {
-		m.observer.Observe(EncodeClass(kind, level), write)
+		m.observer.Observe(class, write)
 	}
 
 	var set int
@@ -380,17 +379,11 @@ func (m *MetaCache) Access(addr uint64, kind memlayout.Kind, level int, write bo
 	}
 	// evFlags is the displaced dirty line's class | slot mask<<8, zero
 	// when none: a valid line's slot mask is never zero.
-	var tagHit, slotValid bool
-	var evAddr, evFlags uint64
+	var slotValid bool
 	if m.ref == nil {
-		tagHit, slotValid, evAddr, evFlags = m.sets.access(addr&^(cache.BlockSize-1), write, EncodeClass(kind, level), slot, allowed)
+		tagHit, slotValid, evAddr, evFlags = m.sets.access(addr&^(cache.BlockSize-1), write, class, slot, allowed)
 	} else {
-		res := m.ref.Access(addr, write, cache.Options{
-			Class:   EncodeClass(kind, level),
-			Slot:    slot,
-			Partial: slot >= 0,
-			Allowed: allowed,
-		})
+		res := m.ref.Access(addr, write, cache.Options{Class: class, Slot: slot, Partial: slot >= 0, Allowed: allowed})
 		tagHit, slotValid = res.Hit, res.SlotValid
 		if res.Evicted.Valid && res.Evicted.Dirty {
 			evAddr = res.Evicted.Addr
@@ -402,31 +395,24 @@ func (m *MetaCache) Access(addr uint64, kind memlayout.Kind, level int, write bo
 		m.cfg.Partition.Observe(set, kind, tagHit)
 	}
 
-	out := Result{TagHit: tagHit, Hit: tagHit && slotValid}
-	if tagHit {
-		st.Hits++
-		if !slotValid {
-			st.PartialMiss++
-		}
-	} else {
+	if !tagHit {
 		st.Misses++
+		return false, false, evAddr, evFlags
 	}
-	if lv != nil {
-		if tagHit {
-			lv.Hits++
-			if !slotValid {
-				lv.PartialMiss++
-			}
-		} else {
-			lv.Misses++
-		}
+	st.Hits++
+	if !slotValid {
+		st.PartialMiss++
 	}
-	if evFlags != 0 {
-		m.scratch = append(m.scratch[:0], evicted(evAddr, evFlags))
-		out.Evicted = m.scratch
-	}
-	return out
+	return slotValid, true, evAddr, evFlags
 }
+
+// Bypass counts a request of class that the content policy keeps out
+// of the cache, for a caller that has resolved the policy itself.
+func (m *MetaCache) Bypass(class uint8) { m.counts[classRow[class]].Bypassed++ }
+
+// DecodeEvicted describes the dirty block Access displaced, from its
+// evAddr and non-zero evFlags.
+func DecodeEvicted(addr, flags uint64) Evicted { return evicted(addr, flags) }
 
 // evicted describes a displaced dirty block from its address and its
 // class | slot mask<<8.

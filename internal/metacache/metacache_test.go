@@ -74,11 +74,18 @@ func TestNewValidation(t *testing.T) {
 	MustNew(Config{Size: 1, Ways: 1})
 }
 
+// Classes of the metadata kinds the tests look up.
+var (
+	counterClass = EncodeClass(memlayout.KindCounter, 0)
+	hashClass    = EncodeClass(memlayout.KindHash, 0)
+)
+
+func treeClass(level int) uint8 { return EncodeClass(memlayout.KindTree, level) }
+
 func TestBypassedKindsAlwaysMiss(t *testing.T) {
 	m := MustNew(Config{Size: 16 << 10, Ways: 8, Content: CountersOnly})
 	for i := 0; i < 10; i++ {
-		r := m.Access(1<<20, memlayout.KindHash, 0, false, 2)
-		if r.Hit || r.TagHit {
+		if hit, tagHit, _, evFlags := m.Access(1<<20, hashClass, false, 2); hit || tagHit || evFlags != 0 {
 			t.Fatal("bypassed hash hit the cache")
 		}
 	}
@@ -89,19 +96,27 @@ func TestBypassedKindsAlwaysMiss(t *testing.T) {
 	if m.TotalStats().Bypassed != 10 {
 		t.Errorf("total bypassed = %d", m.TotalStats().Bypassed)
 	}
+	// Bypass counts what Access counts for a bypassed class.
+	m.Bypass(hashClass)
+	if hs := m.KindStats(memlayout.KindHash); hs.Accesses != 11 || hs.Bypassed != 11 {
+		t.Errorf("hash stats after Bypass: %+v", hs)
+	}
 	// Counters cache normally.
-	m.Access(0, memlayout.KindCounter, 0, false, -1)
-	if r := m.Access(0, memlayout.KindCounter, 0, false, -1); !r.Hit {
+	m.Access(0, counterClass, false, -1)
+	if hit, _, _, _ := m.Access(0, counterClass, false, -1); !hit {
 		t.Error("counter should hit on reuse")
+	}
+	if m.CacheStats().Accesses != 2 {
+		t.Errorf("bypassed requests reached the cache: %+v", m.CacheStats())
 	}
 }
 
 func TestPerKindStatsAndTotal(t *testing.T) {
 	m := MustNew(Config{Size: 16 << 10, Ways: 8})
-	m.Access(0, memlayout.KindCounter, 0, false, -1)
-	m.Access(0, memlayout.KindCounter, 0, false, -1)
-	m.Access(64, memlayout.KindHash, 0, false, 0)
-	m.Access(128, memlayout.KindTree, 2, false, 1)
+	m.Access(0, counterClass, false, -1)
+	m.Access(0, counterClass, false, -1)
+	m.Access(64, hashClass, false, 0)
+	m.Access(128, treeClass(2), false, 1)
 	tot := m.TotalStats()
 	if tot.Accesses != 4 || tot.Hits != 1 || tot.Misses != 3 {
 		t.Errorf("total: %+v", tot)
@@ -118,65 +133,54 @@ func TestPerKindStatsAndTotal(t *testing.T) {
 func TestPartialWriteLifecycle(t *testing.T) {
 	m := MustNew(Config{Size: 2 * 64, Ways: 2, PartialWrites: true})
 	// Hash write miss inserts a placeholder (no memory fetch needed:
-	// Hit=false tells the engine it wrote without fetching).
-	r := m.Access(0, memlayout.KindHash, 0, true, 3)
-	if r.Hit || r.TagHit {
-		t.Fatalf("placeholder insert reported %+v", r)
+	// hit=false tells the engine it wrote without fetching).
+	if hit, tagHit, _, _ := m.Access(0, hashClass, true, 3); hit || tagHit {
+		t.Fatalf("placeholder insert reported hit=%v tagHit=%v", hit, tagHit)
 	}
 	// Read of another slot is a tag hit but requires memory (partial
 	// miss).
-	r = m.Access(0, memlayout.KindHash, 0, false, 5)
-	if !r.TagHit || r.Hit {
-		t.Fatalf("partial read: %+v", r)
+	if hit, tagHit, _, _ := m.Access(0, hashClass, false, 5); !tagHit || hit {
+		t.Fatalf("partial read: hit=%v tagHit=%v", hit, tagHit)
 	}
 	if m.KindStats(memlayout.KindHash).PartialMiss != 1 {
 		t.Error("partial miss not counted")
 	}
 	// Displace the block: eviction must carry Partial=true (slots
 	// never fully filled).
-	m.Access(2<<20, memlayout.KindCounter, 0, true, -1)
-	r = m.Access(4<<20, memlayout.KindCounter, 0, true, -1)
-	found := false
-	for _, ev := range r.Evicted {
-		if ev.Kind == memlayout.KindHash {
-			found = true
-			if !ev.Partial {
-				t.Error("partially-filled hash evicted without Partial flag")
-			}
-		}
+	m.Access(2<<20, counterClass, true, -1)
+	_, _, evAddr, evFlags := m.Access(4<<20, counterClass, true, -1)
+	if evFlags == 0 {
+		t.Fatal("expected hash eviction, got none")
 	}
-	if !found {
-		t.Fatalf("expected hash eviction, got %+v", r.Evicted)
+	if ev := DecodeEvicted(evAddr, evFlags); ev.Kind != memlayout.KindHash || !ev.Partial {
+		t.Errorf("evicted %+v, want a partially-filled hash", ev)
 	}
 }
 
 func TestPartialWritesDisabledFetchesWholeBlock(t *testing.T) {
 	m := MustNew(Config{Size: 2 * 64, Ways: 2, PartialWrites: false})
-	r := m.Access(0, memlayout.KindHash, 0, true, 3)
-	if r.Hit {
+	if hit, _, _, _ := m.Access(0, hashClass, true, 3); hit {
 		t.Fatal("write miss cannot hit")
 	}
 	// Whole block present: reading another slot hits fully.
-	r = m.Access(0, memlayout.KindHash, 0, false, 5)
-	if !r.Hit {
+	if hit, _, _, _ := m.Access(0, hashClass, false, 5); !hit {
 		t.Error("full line should satisfy any slot")
 	}
 }
 
 func TestEvictedDirtyOnly(t *testing.T) {
 	m := MustNew(Config{Size: 2 * 64, Ways: 2})
-	m.Access(0, memlayout.KindCounter, 0, false, -1)          // clean
-	m.Access(1<<20, memlayout.KindCounter, 0, false, -1)      // clean
-	r := m.Access(2<<20, memlayout.KindCounter, 0, false, -1) // evicts a clean line
-	if len(r.Evicted) != 0 {
-		t.Errorf("clean eviction surfaced: %+v", r.Evicted)
+	m.Access(0, counterClass, false, -1)     // clean
+	m.Access(1<<20, counterClass, false, -1) // clean
+	// evicts a clean line
+	if _, _, evAddr, evFlags := m.Access(2<<20, counterClass, false, -1); evFlags != 0 {
+		t.Errorf("clean eviction surfaced: %+v", DecodeEvicted(evAddr, evFlags))
 	}
-	m.Access(3<<20, memlayout.KindCounter, 0, true, -1)
-	r = m.Access(4<<20, memlayout.KindCounter, 0, false, -1)
+	m.Access(3<<20, counterClass, true, -1)
+	_, _, _, f1 := m.Access(4<<20, counterClass, false, -1)
 	// One of the last two insertions may evict the dirty line.
-	r2 := m.Access(5<<20, memlayout.KindCounter, 0, false, -1)
-	total := len(r.Evicted) + len(r2.Evicted)
-	if total == 0 {
+	_, _, _, f2 := m.Access(5<<20, counterClass, false, -1)
+	if f1 == 0 && f2 == 0 {
 		t.Error("dirty eviction never surfaced")
 	}
 }
@@ -188,10 +192,10 @@ func TestPartitionConstrainsOccupancy(t *testing.T) {
 		Partition: partition.NewStatic(2),
 	})
 	for i := uint64(0); i < 8; i++ {
-		m.Access(i*64*1024, memlayout.KindCounter, 0, false, -1)
+		m.Access(i*64*1024, counterClass, false, -1)
 	}
 	for i := uint64(100); i < 108; i++ {
-		m.Access(i*64*1024, memlayout.KindHash, 0, false, -1)
+		m.Access(i*64*1024, hashClass, false, -1)
 	}
 	if got := m.Occupancy(int(memlayout.KindCounter)); got != 2 {
 		t.Errorf("counters occupy %d ways, want 2", got)
@@ -206,7 +210,7 @@ func TestPartitionConstrainsOccupancy(t *testing.T) {
 
 func TestTreeLevelsTracked(t *testing.T) {
 	m := MustNew(Config{Size: 16 << 10, Ways: 8})
-	m.Access(0, memlayout.KindTree, 3, true, -1)
+	m.Access(0, treeClass(3), true, -1)
 	ev := m.Flush()
 	if len(ev) != 1 || ev[0].Kind != memlayout.KindTree || ev[0].Level != 3 {
 		t.Errorf("flush = %+v", ev)
@@ -215,7 +219,7 @@ func TestTreeLevelsTracked(t *testing.T) {
 
 func TestCacheStatsExposed(t *testing.T) {
 	m := MustNew(Config{Size: 16 << 10, Ways: 8})
-	m.Access(0, memlayout.KindCounter, 0, false, -1)
+	m.Access(0, counterClass, false, -1)
 	if m.CacheStats().Accesses != 1 {
 		t.Error("cache stats not exposed")
 	}
@@ -223,9 +227,9 @@ func TestCacheStatsExposed(t *testing.T) {
 
 func TestLevelStats(t *testing.T) {
 	m := MustNew(Config{Size: 16 << 10, Ways: 8})
-	m.Access(0, memlayout.KindTree, 0, false, -1)
-	m.Access(0, memlayout.KindTree, 0, false, -1)
-	m.Access(64, memlayout.KindTree, 2, false, -1)
+	m.Access(0, treeClass(0), false, -1)
+	m.Access(0, treeClass(0), false, -1)
+	m.Access(64, treeClass(2), false, -1)
 	l0 := m.LevelStats(0)
 	if l0.Accesses != 2 || l0.Hits != 1 || l0.Misses != 1 {
 		t.Errorf("level 0: %+v", l0)
@@ -238,7 +242,7 @@ func TestLevelStats(t *testing.T) {
 		t.Error("untouched level has counts")
 	}
 	// Counter accesses must not pollute level stats.
-	m.Access(128, memlayout.KindCounter, 0, false, -1)
+	m.Access(128, counterClass, false, -1)
 	if m.LevelStats(0).Accesses != 2 {
 		t.Error("counter access leaked into tree level stats")
 	}
@@ -250,9 +254,21 @@ func TestLevelStats(t *testing.T) {
 
 func TestLevelStatsBypassed(t *testing.T) {
 	m := MustNew(Config{Size: 16 << 10, Ways: 8, Content: CountersOnly})
-	m.Access(0, memlayout.KindTree, 1, false, -1)
+	m.Access(0, treeClass(1), false, -1)
 	l1 := m.LevelStats(1)
 	if l1.Accesses != 1 || l1.Bypassed != 1 || l1.Misses != 0 {
 		t.Errorf("bypassed level stats: %+v", l1)
 	}
+}
+
+// TestDataClassPanics pins that the entry takes only metadata classes:
+// a data block's class has no counter row.
+func TestDataClassPanics(t *testing.T) {
+	m := MustNew(Config{Size: 16 << 10, Ways: 8})
+	defer func() {
+		if recover() == nil {
+			t.Error("Access accepted a data class")
+		}
+	}()
+	m.Access(0, EncodeClass(memlayout.KindData, 0), false, -1)
 }

@@ -124,7 +124,7 @@ type twinOp struct {
 
 // checkTwin drives ops through a metadata cache on its packed sets and
 // through one on the reference cache.Cache. Every access must return
-// the same Result, every Flush the same dirty blocks in the same
+// the same hit, tag hit and dirty victim, every Flush the same dirty blocks in the same
 // (set/way) order, and every per-kind, per-level and cache counter
 // must agree at the end.
 func checkTwin(t testing.TB, c twinConfig, ops []twinOp) {
@@ -137,10 +137,12 @@ func checkTwin(t testing.TB, c twinConfig, ops []twinOp) {
 			}
 			continue
 		}
-		f := fast.Access(op.addr, op.kind, op.level, op.write, op.slot)
-		r := ref.Access(op.addr, op.kind, op.level, op.write, op.slot)
-		if f.Hit != r.Hit || f.TagHit != r.TagHit || !reflect.DeepEqual(f.Evicted, r.Evicted) {
-			t.Fatalf("%+v: op %d %+v diverges: sets %+v, reference %+v", c, i, op, f, r)
+		class := EncodeClass(op.kind, op.level)
+		fh, ft, fa, ff := fast.Access(op.addr, class, op.write, op.slot)
+		rh, rt, ra, rf := ref.Access(op.addr, class, op.write, op.slot)
+		if fh != rh || ft != rt || fa != ra || ff != rf {
+			t.Fatalf("%+v: op %d %+v diverges: sets (%v,%v,%#x,%#x), reference (%v,%v,%#x,%#x)",
+				c, i, op, fh, ft, fa, ff, rh, rt, ra, rf)
 		}
 	}
 	for _, k := range memlayout.MetaKinds {
@@ -273,12 +275,12 @@ func TestAccessZeroAllocs(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		m := MustNew(Config{Size: 8 << 10, Ways: 8, PartialWrites: true, DisableFastPath: reference})
 		for i := 0; i < 10_000; i++ { // steady state: all sets full
-			m.Access(next(), memlayout.MetaKinds[i%3], 0, i%3 == 0, i%9-1)
+			m.Access(next(), EncodeClass(memlayout.MetaKinds[i%3], 0), i%3 == 0, i%9-1)
 			c.Access(next(), i%3 == 0, cache.WholeBlock)
 		}
 		if avg := testing.AllocsPerRun(200, func() {
-			m.Access(next(), memlayout.KindHash, 0, true, 3)
-			m.Access(next(), memlayout.KindCounter, 0, true, -1)
+			m.Access(next(), hashClass, true, 3)
+			m.Access(next(), counterClass, true, -1)
 		}); avg != 0 {
 			t.Errorf("DisableFastPath=%v: Access allocates %v per call, want 0", reference, avg)
 		}
@@ -300,8 +302,8 @@ func TestReach(t *testing.T) {
 		t.Fatalf("Reach: sets %#x, reference %#x", fast.Reach(), ref.Reach())
 	}
 	high := uint64(1)<<48 | 64
-	ref.Access(high, memlayout.KindCounter, 0, true, -1)
-	if !ref.Access(high, memlayout.KindCounter, 0, false, -1).Hit {
+	ref.Access(high, counterClass, true, -1)
+	if hit, _, _, _ := ref.Access(high, counterClass, false, -1); !hit {
 		t.Error("reference path lost a high address")
 	}
 	defer func() {
@@ -309,5 +311,5 @@ func TestReach(t *testing.T) {
 			t.Error("packed sets accepted an address beyond their reach")
 		}
 	}()
-	fast.Access(high, memlayout.KindCounter, 0, true, -1)
+	fast.Access(high, counterClass, true, -1)
 }

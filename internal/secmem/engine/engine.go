@@ -102,6 +102,9 @@ type Engine struct {
 	dram    *dram.Memory
 	stats   Stats
 	evQueue []metacache.Evicted
+	// The metadata cache's content and partial-write policies, resolved
+	// at New; all false without a metadata cache.
+	cacheCounters, cacheHashes, cacheTree, partialWrites bool
 	// hashReadyAt models the HMAC engine's issue throughput: the
 	// cycle at which it can accept the next computation.
 	hashReadyAt uint64
@@ -129,14 +132,24 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.HashThroughputCycles == 0 {
 		cfg.HashThroughputCycles = 4
 	}
-	return &Engine{
+	e := &Engine{
 		cfg:      cfg,
 		layout:   cfg.Layout,
 		meta:     cfg.Meta,
 		dram:     cfg.DRAM,
 		counters: counterTable{limit: int(cfg.Layout.CounterBlocks())},
-	}, nil
+	}
+	if m := cfg.Meta; m != nil {
+		c := m.Content()
+		e.cacheCounters, e.cacheHashes, e.cacheTree = c.Allows(memlayout.KindCounter), c.Allows(memlayout.KindHash), c.Allows(memlayout.KindTree)
+		e.partialWrites = m.PartialWrites()
+	}
+	return e, nil
 }
+
+// The metadata-cache classes of counter and hash blocks; a tree
+// node's is EncodeClass(memlayout.KindTree, level).
+var counterClass, hashClass = metacache.EncodeClass(memlayout.KindCounter, 0), metacache.EncodeClass(memlayout.KindHash, 0)
 
 // MustNew is New but panics on error.
 func MustNew(cfg Config) *Engine {
@@ -202,7 +215,7 @@ func (e *Engine) Read(now uint64, dataAddr uint64) (latency uint64) {
 	dataLat := e.dram.Access(now, dataAddr, false)
 	e.stats.Mem.DataReads++
 
-	counterLat, verifyLat := e.fetchCounter(now, dataAddr, false)
+	counterLat, verifyLat := e.fetchCounter(now, dataAddr)
 
 	// Data hash for integrity verification.
 	hashLat := e.fetchHash(now, dataAddr)
@@ -237,11 +250,11 @@ func (e *Engine) Writeback(now uint64, dataAddr uint64) (latency uint64) {
 	// verified) to re-encrypt.
 	cAddr := e.layout.CounterAddr(dataAddr)
 	switch {
-	case e.meta != nil && e.meta.Allows(memlayout.KindCounter):
+	case e.cacheCounters:
 		cost := uint64(0)
-		res := e.meta.Access(cAddr, memlayout.KindCounter, 0, true, -1)
-		e.drainEvictions(now, res.Evicted)
-		if !res.Hit {
+		hit, _, evAddr, evFlags := e.meta.Access(cAddr, counterClass, true, -1)
+		e.drain(now, evAddr, evFlags)
+		if !hit {
 			// Fetch and verify before modifying; the block is now
 			// dirty in the cache.
 			latency += e.dram.Access(now, cAddr, false)
@@ -255,7 +268,7 @@ func (e *Engine) Writeback(now uint64, dataAddr uint64) (latency uint64) {
 		// Counters bypass the cache: read-modify-write immediately
 		// (verifying through the — possibly cached — tree) and push
 		// the tree update out right away.
-		e.meta.Access(cAddr, memlayout.KindCounter, 0, true, -1) // stats only
+		e.meta.Bypass(counterClass)
 		latency += e.dram.Access(now, cAddr, false)
 		e.dram.Access(now, cAddr, true)
 		e.stats.Mem.CounterReads++
@@ -296,24 +309,22 @@ func (e *Engine) Writeback(now uint64, dataAddr uint64) (latency uint64) {
 	// Update the data hash.
 	hAddr := e.layout.HashAddr(dataAddr)
 	hSlot := e.layout.HashSlot(dataAddr)
-	if e.meta != nil && e.meta.Allows(memlayout.KindHash) {
+	if e.cacheHashes {
 		cost := uint64(0)
-		res := e.meta.Access(hAddr, memlayout.KindHash, 0, true, hSlot)
-		e.drainEvictions(now, res.Evicted)
-		if !res.Hit && !res.TagHit {
+		_, tagHit, evAddr, evFlags := e.meta.Access(hAddr, hashClass, true, hSlot)
+		e.drain(now, evAddr, evFlags)
+		if !tagHit && !e.partialWrites {
 			// Without partial writes the cache fetched nothing; the
 			// whole block must come from memory before the update.
 			// With partial writes the placeholder absorbs the write.
-			if !e.partialWritesOn() {
-				latency += e.dram.Access(now, hAddr, false)
-				e.stats.Mem.HashReads++
-				cost = 1
-			}
+			latency += e.dram.Access(now, hAddr, false)
+			e.stats.Mem.HashReads++
+			cost = 1
 		}
 		e.tap(hAddr, memlayout.KindHash, true, cost)
 	} else {
 		if e.meta != nil {
-			e.meta.Access(hAddr, memlayout.KindHash, 0, true, hSlot) // stats only
+			e.meta.Bypass(hashClass)
 		}
 		e.dram.Access(now, hAddr, false)
 		e.dram.Access(now, hAddr, true)
@@ -324,19 +335,15 @@ func (e *Engine) Writeback(now uint64, dataAddr uint64) (latency uint64) {
 	return latency
 }
 
-func (e *Engine) partialWritesOn() bool {
-	return e.meta != nil && e.meta.PartialWrites()
-}
-
 // fetchCounter obtains the counter protecting dataAddr for a read.
 // It returns the decryption-critical latency and the
 // verification-only latency (hidden under speculation).
-func (e *Engine) fetchCounter(now uint64, dataAddr uint64, forWrite bool) (critLat, verifyLat uint64) {
+func (e *Engine) fetchCounter(now uint64, dataAddr uint64) (critLat, verifyLat uint64) {
 	cAddr := e.layout.CounterAddr(dataAddr)
 	if e.meta == nil {
 		critLat = e.dram.Access(now, cAddr, false)
 		e.stats.Mem.CounterReads++
-		e.tap(cAddr, memlayout.KindCounter, forWrite, uint64(1+e.layout.TreeLevels()))
+		e.tap(cAddr, memlayout.KindCounter, false, uint64(1+e.layout.TreeLevels()))
 		for node := e.layout.Parent(cAddr); node != memlayout.RootAddr; node = e.layout.Parent(node) {
 			verifyLat += e.dram.Access(now, node, false) + e.hashCompute(now)
 			e.stats.Mem.TreeReads++
@@ -346,22 +353,22 @@ func (e *Engine) fetchCounter(now uint64, dataAddr uint64, forWrite bool) (critL
 		return critLat, verifyLat
 	}
 
-	if !e.meta.Allows(memlayout.KindCounter) {
+	if !e.cacheCounters {
 		// Bypassed counters always come from memory, verified
 		// through the (possibly cached) tree.
-		e.meta.Access(cAddr, memlayout.KindCounter, 0, forWrite, -1) // stats only
+		e.meta.Bypass(counterClass)
 		critLat = e.dram.Access(now, cAddr, false)
 		e.stats.Mem.CounterReads++
 		var walkCost uint64
 		verifyLat, walkCost = e.verifyAncestors(now, cAddr)
-		e.tap(cAddr, memlayout.KindCounter, forWrite, 1+walkCost)
+		e.tap(cAddr, memlayout.KindCounter, false, 1+walkCost)
 		return critLat, verifyLat
 	}
 
 	cost := uint64(0)
-	res := e.meta.Access(cAddr, memlayout.KindCounter, 0, forWrite, -1)
-	e.drainEvictions(now, res.Evicted)
-	if !res.Hit {
+	hit, _, evAddr, evFlags := e.meta.Access(cAddr, counterClass, false, -1)
+	e.drain(now, evAddr, evFlags)
+	if !hit {
 		critLat = e.dram.Access(now, cAddr, false)
 		e.stats.Mem.CounterReads++
 		cost = 1
@@ -369,7 +376,7 @@ func (e *Engine) fetchCounter(now uint64, dataAddr uint64, forWrite bool) (critL
 		verifyLat, walkCost = e.verifyAncestors(now, cAddr)
 		cost += walkCost
 	}
-	e.tap(cAddr, memlayout.KindCounter, forWrite, cost)
+	e.tap(cAddr, memlayout.KindCounter, false, cost)
 	return critLat, verifyLat
 }
 
@@ -385,9 +392,9 @@ func (e *Engine) fetchHash(now uint64, dataAddr uint64) (lat uint64) {
 		return lat
 	}
 	cost := uint64(0)
-	res := e.meta.Access(hAddr, memlayout.KindHash, 0, false, hSlot)
-	e.drainEvictions(now, res.Evicted)
-	if !res.Hit {
+	hit, _, evAddr, evFlags := e.meta.Access(hAddr, hashClass, false, hSlot)
+	e.drain(now, evAddr, evFlags)
+	if !hit {
 		lat = e.dram.Access(now, hAddr, false)
 		e.stats.Mem.HashReads++
 		cost = 1
@@ -413,9 +420,8 @@ func (e *Engine) verifyAncestors(now uint64, addr uint64) (lat, accesses uint64)
 		}
 		e.stats.TreeWalkLevels++
 		cost := uint64(0)
-		res := e.meta.Access(node, memlayout.KindTree, level, false, -1)
-		e.drainEvictions(now, res.Evicted)
-		hit := res.Hit
+		hit, _, evAddr, evFlags := e.meta.Access(node, metacache.EncodeClass(memlayout.KindTree, level), false, -1)
+		e.drain(now, evAddr, evFlags)
 		if !hit {
 			lat += e.dram.Access(now, node, false) + e.hashCompute(now)
 			e.stats.Mem.TreeReads++
@@ -430,15 +436,19 @@ func (e *Engine) verifyAncestors(now uint64, addr uint64) (lat, accesses uint64)
 	return lat, accesses
 }
 
-// drainEvictions handles dirty blocks displaced from the metadata
-// cache: each is written to memory and, for counters and tree nodes,
-// propagates an update into its parent tree node — which may displace
-// further blocks, hence the explicit queue.
-func (e *Engine) drainEvictions(now uint64, evicted []metacache.Evicted) {
-	if len(evicted) == 0 {
-		return
+// drain handles the dirty block, if any, a metadata-cache access
+// displaced (Access's evAddr and evFlags): it is written to memory and,
+// for counters and tree nodes, updates its parent tree node, which may
+// displace further blocks, queued and handled in turn. drain inlines,
+// so an access that displaced nothing pays only the test.
+func (e *Engine) drain(now, evAddr, evFlags uint64) {
+	if evFlags != 0 {
+		e.drainFrom(now, evAddr, evFlags)
 	}
-	e.evQueue = append(e.evQueue[:0], evicted...)
+}
+
+func (e *Engine) drainFrom(now, evAddr, evFlags uint64) {
+	e.handleEviction(now, metacache.DecodeEvicted(evAddr, evFlags))
 	e.drainQueue(now)
 }
 
@@ -490,11 +500,11 @@ func (e *Engine) updateParent(now uint64, addr uint64) {
 	if parent == memlayout.RootAddr {
 		return
 	}
-	if !e.meta.Allows(memlayout.KindTree) {
+	if !e.cacheTree {
 		// Tree nodes bypass the cache: push the update through every
 		// level immediately, as in the cache-less organization.
 		for node := parent; node != memlayout.RootAddr; node = e.layout.Parent(node) {
-			e.meta.Access(node, memlayout.KindTree, 0, true, -1) // stats only
+			e.meta.Bypass(metacache.EncodeClass(memlayout.KindTree, 0))
 			e.dram.Access(now, node, true)
 			e.stats.Mem.TreeWrites++
 			e.tap(node, memlayout.KindTree, true, 1)
@@ -502,8 +512,8 @@ func (e *Engine) updateParent(now uint64, addr uint64) {
 		return
 	}
 	cost := uint64(0)
-	res := e.meta.Access(parent, memlayout.KindTree, level, true, slot)
-	if !res.Hit && !res.TagHit && !e.partialWritesOn() {
+	_, tagHit, evAddr, evFlags := e.meta.Access(parent, metacache.EncodeClass(memlayout.KindTree, level), true, slot)
+	if !tagHit && !e.partialWrites {
 		// Fetch the parent before updating one of its slots.
 		e.dram.Access(now, parent, false)
 		e.stats.Mem.TreeReads++
@@ -511,7 +521,9 @@ func (e *Engine) updateParent(now uint64, addr uint64) {
 	}
 	e.tap(parent, memlayout.KindTree, true, cost)
 	// Nested evictions join the queue currently being drained.
-	e.evQueue = append(e.evQueue, res.Evicted...)
+	if evFlags != 0 {
+		e.evQueue = append(e.evQueue, metacache.DecodeEvicted(evAddr, evFlags))
+	}
 }
 
 // increment advances the logical counter for the data block at
@@ -558,7 +570,8 @@ func (e *Engine) Flush(now uint64) {
 			panic("engine: flush did not converge")
 		}
 		for _, ev := range dirty {
-			e.drainEvictions(now, []metacache.Evicted{ev})
+			e.handleEviction(now, ev)
+			e.drainQueue(now)
 		}
 	}
 }
