@@ -86,6 +86,8 @@ race:
 # fuzzer-chosen layouts and write streams. The two result decoders'
 # targets hold the canonical fast path of sim.Result and sweep.Result
 # to encoding/json on any input: the same error-ness and the same value.
+# The reply writer's target holds mapsd's spliced sweep replies to
+# json.Encoder's bytes on random sweep results.
 # Every target caps minimization at 1s: while a worker minimizes a
 # newly interesting input (for up to 60s by default) it runs no new
 # inputs, and on four of the targets and both result decoders that
@@ -107,6 +109,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s -fuzzminimizetime=1s ./internal/secmem/engine
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeSweepResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz=FuzzSweepReplyMatchesEncoder -fuzztime=10s -fuzzminimizetime=1s ./internal/server
 
 # Full benchmark pass: measure the access kernel and end-to-end runs,
 # then record the numbers into BENCH_kernel.json's current section.

@@ -313,7 +313,7 @@ func (m *MetaCache) CacheStats() cache.Stats {
 	if m.ref != nil {
 		return m.ref.Stats()
 	}
-	return m.sets.stats()
+	return m.sets.stats(sum(m.counts[:]))
 }
 
 // ResetStats zeroes all statistics (contents persist), for warmup.
@@ -322,7 +322,7 @@ func (m *MetaCache) ResetStats() {
 	if m.ref != nil {
 		m.ref.ResetStats()
 	} else {
-		m.sets.counts = cache.Stats{}
+		m.sets.evictions, m.sets.dirtyEvicts = 0, 0
 	}
 }
 

@@ -56,7 +56,10 @@ type sets struct {
 	ordWord  int
 	ordShift uint
 	ordKeep  uint64
-	counts   cache.Stats
+	// evictions and dirtyEvicts count fills that displaced a line, and
+	// those of them that displaced a dirty one. Hits, misses and
+	// partial misses are MetaCache.counts' (stats).
+	evictions, dirtyEvicts uint64
 }
 
 // newSets builds count packed sets for a geometry cache.Geometry has
@@ -106,7 +109,6 @@ func (s *sets) access(addr uint64, write bool, class uint8, slot int, allowed ui
 		if l&tagBits != key {
 			continue
 		}
-		s.counts.Hits++
 		slotValid = true
 		if slot >= 0 {
 			if bit := slotBit(slot); l&bit == 0 {
@@ -114,7 +116,6 @@ func (s *sets) access(addr uint64, write bool, class uint8, slot int, allowed ui
 				// supplies the data itself (the partial-write benefit).
 				if !write {
 					slotValid = false
-					s.counts.PartialMiss++
 				}
 				l |= bit
 			}
@@ -131,7 +132,6 @@ func (s *sets) access(addr uint64, write bool, class uint8, slot int, allowed ui
 		return true, slotValid, 0, 0
 	}
 
-	s.counts.Misses++
 	if addr >= maxAddr {
 		panic(fmt.Sprintf("metacache: address %#x beyond the %#x the line words hold", addr, uint64(maxAddr)))
 	}
@@ -146,9 +146,9 @@ func (s *sets) access(addr uint64, write bool, class uint8, slot int, allowed ui
 		set[0] |= 1 << uint(way)
 	} else {
 		way = s.victim(set, allowed)
-		s.counts.Evictions++
+		s.evictions++
 		if ev := lines[way]; ev&lineDirty != 0 {
-			s.counts.DirtyEvicts++
+			s.dirtyEvicts++
 			evAddr, evFlags = ev&addrBits, ev>>classShift
 		}
 	}
@@ -223,14 +223,19 @@ func (s *sets) victim(set []uint64, allowed uint64) int {
 	}
 }
 
-// stats returns a copy of the counters. Accesses and Inserts are
-// derived on read, as every access hits or misses and every miss
-// fills.
-func (s *sets) stats() cache.Stats {
-	c := s.counts
-	c.Accesses = c.Hits + c.Misses
-	c.Inserts = c.Misses
-	return c
+// stats returns the sets' counters, given the lookup outcomes k of
+// every access: hits, misses and partial misses. Accesses and Inserts
+// are derived, as every access hits or misses and every miss fills.
+func (s *sets) stats(k KindStats) cache.Stats {
+	return cache.Stats{
+		Accesses:    k.Hits + k.Misses,
+		Hits:        k.Hits,
+		Misses:      k.Misses,
+		PartialMiss: k.PartialMiss,
+		Inserts:     k.Misses,
+		Evictions:   s.evictions,
+		DirtyEvicts: s.dirtyEvicts,
+	}
 }
 
 // occupancy counts valid lines, only those of class when class >= 0.

@@ -39,6 +39,7 @@ func TestSetsMatchGeneric(t *testing.T) {
 			fast := newSets(count, ways, lru)
 			slow := cache.MustNew(size, ways, newPolicy(lru))
 			rng := rand.New(rand.NewSource(11))
+			var counts KindStats // the lookup outcomes MetaCache.Access counts
 			for i := 0; i < 50_000; i++ {
 				addr := uint64(rng.Intn(1<<15)) * 64
 				write := rng.Intn(4) == 0
@@ -47,7 +48,16 @@ func TestSetsMatchGeneric(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					allowed = uint64(1 + rng.Intn(15)) // non-empty subset of 4 ways
 				}
-				fh, _, fa, ff := fast.access(addr, write, class, -1, allowed)
+				fh, fv, fa, ff := fast.access(addr, write, class, -1, allowed)
+				switch {
+				case !fh:
+					counts.Misses++
+				case !fv:
+					counts.Hits++
+					counts.PartialMiss++
+				default:
+					counts.Hits++
+				}
 				r := slow.Access(addr, write, cache.Options{Class: class, Slot: -1, Allowed: allowed})
 				var sa, sf uint64
 				if r.Evicted.Valid && r.Evicted.Dirty {
@@ -58,7 +68,7 @@ func TestSetsMatchGeneric(t *testing.T) {
 						i, addr, write, class, allowed, fh, fa, ff, r.Hit, sa, sf)
 				}
 			}
-			if fs, ss := fast.stats(), slow.Stats(); fs != ss {
+			if fs, ss := fast.stats(counts), slow.Stats(); fs != ss {
 				t.Errorf("stats diverge: sets %+v generic %+v", fs, ss)
 			}
 			var want []Evicted

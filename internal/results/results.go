@@ -182,10 +182,10 @@ type Stats struct {
 	DroppedPuts uint64 `json:"dropped_puts"`
 	Entries     int    `json:"entries"`
 	Capacity    int    `json:"capacity"`
-	// SizeBytes approximates resident value bytes (JSON-encoded size,
-	// measured once per Put), so the memory tier reports capacity in
-	// the same unit as the disk tier under it (mapsd_cache_bytes vs
-	// mapsd_store_bytes).
+	// SizeBytes sums the lengths of the entries' kept encodings (each
+	// value's json.Marshal bytes, made once at Put), so the memory tier
+	// reports capacity in the same unit as the disk tier under it
+	// (mapsd_cache_bytes vs mapsd_store_bytes).
 	SizeBytes int64 `json:"size_bytes"`
 }
 
@@ -200,24 +200,17 @@ func (s Stats) HitRatio() float64 {
 type entry struct {
 	key   Key
 	value any
-	size  int64
-}
-
-// sizeOf approximates a value's resident size as its JSON encoding
-// length — the same bytes the disk tier would store, so the two
-// tiers' byte gauges are comparable. Unencodable values count zero.
-func sizeOf(v any) int64 {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return 0
-	}
-	return int64(len(data))
+	// data is value's canonical JSON, json.Marshal(value); nil when
+	// the value does not encode.
+	data []byte
 }
 
 // Cache is a thread-safe LRU-bounded map from content address to
 // result. Values are opaque (the server stores *sim.Result and
 // *sim.SuiteResult); the cache never mutates them, and callers must
-// treat returned values as shared and immutable.
+// treat returned values as shared and immutable. Each entry keeps its
+// value's JSON encoding beside it, so the value is encoded once, at
+// Put, however often it is served.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
@@ -253,39 +246,54 @@ func (c *Cache) Get(key Key) (any, bool) {
 	return el.Value.(*entry).value, true
 }
 
-// Peek returns the cached value for key without counting a hit or
-// miss and without refreshing recency — the read-through the store's
-// peer-serving path uses, so serving another daemon's fill never
+// Peek returns the cached value for key and its kept encoding (nil
+// when the value does not encode) without counting a hit or miss and
+// without refreshing recency — the read-through the store's
+// peer-serving and reply-encoding paths use, so serving never
 // distorts this daemon's own LRU order or hit ratio.
-func (c *Cache) Peek(key Key) (any, bool) {
+func (c *Cache) Peek(key Key) (value any, data []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
-	return el.Value.(*entry).value, true
+	e := el.Value.(*entry)
+	return e.value, e.data, true
 }
 
-// Put stores value under key, evicting the least recently used entry
-// when full. Storing an existing key refreshes its value and recency.
-// An armed results.put fault drops the write (counted in
+// Put stores value under key with its encoding, json.Marshal(value),
+// and returns that encoding (nil when value does not encode). The
+// encoding is kept beside the value, evicting the least recently used
+// entry when full; storing an existing key refreshes its value and
+// recency. An armed results.put fault drops the write (counted in
 // Stats.DroppedPuts): callers never see an error, they just lose the
 // caching — the same contract a best-effort external cache would have.
-func (c *Cache) Put(key Key, value any) {
+func (c *Cache) Put(key Key, value any) []byte {
+	// Outside the lock; encoding isn't free. An unencodable value keeps
+	// nil: Marshal's error only says so.
+	data, _ := json.Marshal(value)
+	c.PutEncoded(key, value, data)
+	return data
+}
+
+// PutEncoded is Put for a value whose encoding the caller already
+// holds, such as a verified disk or peer payload: data must be
+// json.Marshal(value), or nil.
+func (c *Cache) PutEncoded(key Key, value any, data []byte) {
 	if err := faultPut.Hit(); err != nil {
 		c.mu.Lock()
 		c.stats.DroppedPuts++
 		c.mu.Unlock()
 		return
 	}
-	size := sizeOf(value) // measured outside the lock; encoding isn't free
+	size := int64(len(data))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*entry)
-		c.stats.SizeBytes += size - e.size
-		e.value, e.size = value, size
+		c.stats.SizeBytes += size - int64(len(e.data))
+		e.value, e.data = value, data
 		c.order.MoveToFront(el)
 		return
 	}
@@ -294,10 +302,10 @@ func (c *Cache) Put(key Key, value any) {
 		c.order.Remove(oldest)
 		old := oldest.Value.(*entry)
 		delete(c.byKey, old.key)
-		c.stats.SizeBytes -= old.size
+		c.stats.SizeBytes -= int64(len(old.data))
 		c.stats.Evictions++
 	}
-	c.byKey[key] = c.order.PushFront(&entry{key: key, value: value, size: size})
+	c.byKey[key] = c.order.PushFront(&entry{key: key, value: value, data: data})
 	c.stats.SizeBytes += size
 }
 

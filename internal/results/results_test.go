@@ -1,6 +1,8 @@
 package results
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"github.com/maps-sim/mapsim/internal/cache/policy"
@@ -217,14 +219,39 @@ func TestCacheSizeBytesAccounting(t *testing.T) {
 	}
 	// Peek observes without perturbing counters or LRU order.
 	preStats := c.Stats()
-	if _, ok := c.Peek("c"); !ok {
+	if _, _, ok := c.Peek("c"); !ok {
 		t.Fatal("Peek missed a present key")
 	}
-	if _, ok := c.Peek("absent"); ok {
+	if _, _, ok := c.Peek("absent"); ok {
 		t.Fatal("Peek invented a value")
 	}
 	post := c.Stats()
 	if post.Hits != preStats.Hits || post.Misses != preStats.Misses {
 		t.Fatalf("Peek moved counters: %+v -> %+v", preStats, post)
+	}
+}
+
+// TestCacheKeepsEncoding: Put keeps and returns json.Marshal(value),
+// PutEncoded keeps the bytes it is given, Peek returns the kept bytes,
+// and SizeBytes is their total length; an unencodable value keeps none.
+func TestCacheKeepsEncoding(t *testing.T) {
+	c := New(4)
+	v := &struct{ A string }{"<x>&"}
+	want, _ := json.Marshal(v)
+	if got := c.Put("a", v); !bytes.Equal(got, want) {
+		t.Fatalf("Put returned %s, want %s", got, want)
+	}
+	if cur, data, ok := c.Peek("a"); !ok || cur != any(v) || !bytes.Equal(data, want) {
+		t.Fatalf("Peek = %v %s %v, want the value and %s", cur, data, ok, want)
+	}
+	c.PutEncoded("b", 7, []byte("7"))
+	if _, data, _ := c.Peek("b"); string(data) != "7" {
+		t.Fatalf("PutEncoded kept %q, want 7", data)
+	}
+	if got := c.Put("c", func() {}); got != nil {
+		t.Fatalf("unencodable value kept %q", got)
+	}
+	if got := c.Stats().SizeBytes; got != int64(len(want)+1) {
+		t.Fatalf("SizeBytes %d, want %d", got, len(want)+1)
 	}
 }

@@ -136,7 +136,7 @@ func (s *Server) installRecovered(id string, sw *journal.Sweep, spec sweep.Spec,
 	if n, ok := sweepSeqOf(id); ok && n > s.sweepSeq {
 		s.sweepSeq = n
 	}
-	s.sweeps[id] = j
+	s.registerLocked(j)
 	s.mu.Unlock()
 	s.sweepsStarted.Add(1)
 	s.sweepsRecovered.Add(1)

@@ -203,8 +203,12 @@ type Server struct {
 	// non-nil, write-ahead-logs every sweep that has a point to
 	// simulate; sweepTTL and maxSweeps
 	// bound the registry (evictSweeps).
-	sweeps    map[string]*sweepJob
-	sweepSeq  uint64
+	sweeps   map[string]*sweepJob
+	sweepSeq uint64
+	// finished indexes the registry's terminal sweeps in finish order
+	// (finishLocked) and running counts the others, both under mu.
+	finished  []finishedSweep
+	running   int
 	journal   *journal.Dir
 	sweepTTL  time.Duration
 	maxSweeps int
@@ -718,13 +722,21 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	m := s.jobMeta(id)
 	out := JobResult{ID: id, Type: m.typ}
+	field := "run"
 	switch res := snap.Result.(type) {
 	case *sim.Result:
 		out.Run = res
 	case *sim.SuiteResult:
-		out.Suite = res
+		out.Suite, field = res, "suite"
 	default:
 		writeError(w, http.StatusInternalServerError, "job %s holds unexpected result type %T", id, snap.Result)
+		return
+	}
+	// A result still in the memory tier has its encoding kept there.
+	if data := s.store.Encoded(m.key, snap.Result); data != nil {
+		writeReply(w, out, func(buf []byte) ([]byte, error) {
+			return appendJobResult(buf, id, m.typ, field, data), nil
+		})
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -863,12 +875,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	ss := s.SweepStatsSnapshot()
 	s.mu.Lock()
-	sweepsRunning := 0
-	for _, j := range s.sweeps {
-		if state, _ := j.finishState(); !state.Terminal() {
-			sweepsRunning++
-		}
-	}
+	sweepsRunning := s.running
 	s.mu.Unlock()
 	fmt.Fprintf(w, "# HELP mapsd_sweeps_started_total Sweeps admitted by POST /v1/sweeps.\n")
 	fmt.Fprintf(w, "# TYPE mapsd_sweeps_started_total counter\nmapsd_sweeps_started_total %d\n", ss.Started)

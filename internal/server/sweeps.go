@@ -265,7 +265,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		j.wal = s.journalAdmit(id, req, points, j.keys, j.status.Created)
 	}
 	s.mu.Lock()
-	s.sweeps[id] = j
+	s.registerLocked(j)
 	s.mu.Unlock()
 	if !stored {
 		s.startSweep(ctx, cancel, j, spec, req.Parallelism,
@@ -298,9 +298,10 @@ func (s *Server) lookupStored(ctx context.Context, keys []results.Key) (hits []*
 // finishStored completes a sweep whose every point the store holds
 // without running it: no journal, no coordinator, no pool slot. It is
 // born done, with the result fleet.Coordinator.Run would build for it
-// and the same counters. A crash loses nothing, since recovery never
-// reinstalls a finished sweep; the store flush keeps the promise that
-// a done sweep's points are on disk.
+// and the same counters; registerLocked stamps its finish time. A
+// crash loses nothing, since recovery never reinstalls a finished
+// sweep; the store flush keeps the promise that a done sweep's points
+// are on disk.
 func (s *Server) finishStored(j *sweepJob, points []sweep.Point, hits []*sim.Result) {
 	n := len(points)
 	res := &sweep.Result{
@@ -319,7 +320,6 @@ func (s *Server) finishStored(j *sweepJob, points []sweep.Point, hits []*sim.Res
 	j.status.State = jobs.StateDone
 	j.status.Done = n
 	j.status.Deduped = n
-	j.status.Finished = time.Now()
 	close(j.done)
 	s.sweepPointsDeduped.Add(uint64(n))
 	s.sweepPointsDone.Add(uint64(n))
@@ -386,8 +386,10 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 		// points live in the store, so they must be on disk first:
 		// Put only queues the disk write.
 		s.flushStore(j.id)
+		s.mu.Lock()
 		j.mu.Lock()
-		j.status.Finished = time.Now()
+		s.running--
+		s.finishLocked(j)
 		switch {
 		case err == nil:
 			j.status.State = jobs.StateDone
@@ -401,6 +403,7 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 		}
 		state, msg := j.status.State, j.status.Error
 		j.mu.Unlock()
+		s.mu.Unlock()
 		if j.wal != nil {
 			if state == jobs.StateCanceled && s.draining.Load() {
 				// A draining shutdown is not a verdict on the sweep:
@@ -473,13 +476,40 @@ func (s *Server) journalPoint(j *sweepJob, pr sweep.PointResult) {
 	}
 }
 
+// finishedSweep is one entry of the finish index.
+type finishedSweep struct {
+	id       string
+	finished time.Time
+}
+
+// registerLocked adds j to the registry, with s.mu held. A sweep born
+// done is stamped finished as it registers.
+func (s *Server) registerLocked(j *sweepJob) {
+	s.sweeps[j.id] = j
+	if j.status.State.Terminal() {
+		s.finishLocked(j)
+	} else {
+		s.running++
+	}
+}
+
+// finishLocked stamps j's finish time and appends j to the finish
+// index, with s.mu and j's lock held (or j not yet shared). Stamping
+// under s.mu keeps the index in finish order.
+func (s *Server) finishLocked(j *sweepJob) {
+	j.status.Finished = time.Now()
+	s.finished = append(s.finished, finishedSweep{j.id, j.status.Finished})
+}
+
 // evictSweeps drops finished sweeps from the registry: first every
 // one finished longer than the TTL ago, then the oldest finished ones
 // past the registry cap. Running sweeps are never evicted. A sweep's
 // journal goes with its registry entry — by then its points live in
 // the result store, so nothing irreplaceable is lost. Called
-// opportunistically on submissions and /metrics scrapes; a registry
-// over its cap pays one pass over its sweeps (evictionOrder).
+// opportunistically on submissions and /metrics scrapes, it pops only
+// what it evicts off the finish index. A registry filled without the
+// index, which the running count and the index do not add up to, is
+// indexed first (finishOrder).
 func (s *Server) evictSweeps(now time.Time) {
 	if s.sweepTTL <= 0 && s.maxSweeps <= 0 {
 		return
@@ -488,19 +518,18 @@ func (s *Server) evictSweeps(now time.Time) {
 		return s.sweepTTL > 0 && now.Sub(finished) > s.sweepTTL
 	}
 	s.mu.Lock()
+	if len(s.finished)+s.running != len(s.sweeps) {
+		s.finished = finishOrder(s.sweeps)
+		s.running = len(s.sweeps) - len(s.finished)
+	}
+	over := 0
+	if s.maxSweeps > 0 {
+		over = len(s.sweeps) - s.maxSweeps
+	}
 	var evicted []string
-	if over := len(s.sweeps) - s.maxSweeps; s.maxSweeps > 0 && over > 0 {
-		evicted = evictionOrder(s.sweeps, over, expired)
-		for _, id := range evicted {
-			delete(s.sweeps, id)
-		}
-	} else if s.sweepTTL > 0 {
-		for id, j := range s.sweeps {
-			if state, finished := j.finishState(); state.Terminal() && expired(finished) {
-				delete(s.sweeps, id)
-				evicted = append(evicted, id)
-			}
-		}
+	evicted, s.finished = evictFront(s.finished, over, expired)
+	for _, id := range evicted {
+		delete(s.sweeps, id)
 	}
 	s.mu.Unlock()
 	for _, id := range evicted {
@@ -512,42 +541,33 @@ func (s *Server) evictSweeps(now time.Time) {
 	}
 }
 
-// evictionOrder returns, oldest-finished first, the terminal sweeps a
-// registry over its cap by over evicts: every expired one, and the
-// oldest others until over are gone. Expiry is monotone in finish
-// time, so that is the max(over, expired) oldest terminal sweeps. One
-// pass keeps the over oldest unexpired sweeps in a sorted window, so
-// only what is evicted is ever sorted.
-func evictionOrder(sweeps map[string]*sweepJob, over int, expired func(time.Time) bool) []string {
-	type cand struct {
-		id       string
-		finished time.Time
+// evictFront splits off the front of the finish index idx what a
+// registry over its cap by over evicts, oldest-finished first: every
+// expired sweep, and the oldest others until over are gone. Expiry is
+// monotone in finish time, so that is a prefix of idx.
+func evictFront(idx []finishedSweep, over int, expired func(time.Time) bool) (ids []string, rest []finishedSweep) {
+	n := 0
+	for n < len(idx) && (n < over || expired(idx[n].finished)) {
+		n++
 	}
-	byFinish := func(a, b cand) int { return a.finished.Compare(b.finished) }
-	var gone, oldest []cand
+	ids = make([]string, n)
+	for i := range ids {
+		ids[i] = idx[i].id
+	}
+	return ids, idx[n:]
+}
+
+// finishOrder builds the finish index of a registry by walking it:
+// its terminal sweeps, oldest-finished first.
+func finishOrder(sweeps map[string]*sweepJob) []finishedSweep {
+	var idx []finishedSweep
 	for id, j := range sweeps {
-		state, finished := j.finishState()
-		switch c := (cand{id, finished}); {
-		case !state.Terminal():
-		case expired(finished):
-			gone = append(gone, c)
-		case len(oldest) < over || finished.Before(oldest[over-1].finished):
-			i, _ := slices.BinarySearchFunc(oldest, c, byFinish)
-			oldest = slices.Insert(oldest, i, c)
-			if len(oldest) > over {
-				oldest = oldest[:over]
-			}
+		if state, finished := j.finishState(); state.Terminal() {
+			idx = append(idx, finishedSweep{id, finished})
 		}
 	}
-	slices.SortFunc(gone, byFinish)
-	if more := over - len(gone); more > 0 {
-		gone = append(gone, oldest[:min(more, len(oldest))]...)
-	}
-	ids := make([]string, len(gone))
-	for i, c := range gone {
-		ids[i] = c.id
-	}
-	return ids
+	slices.SortFunc(idx, func(a, b finishedSweep) int { return a.finished.Compare(b.finished) })
+	return idx
 }
 
 // awaitSweeps blocks (bounded by ctx) until every sweep coordinator
@@ -639,7 +659,14 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch st.State {
 	case jobs.StateDone:
-		writeJSON(w, http.StatusOK, res)
+		writeReply(w, res, func(buf []byte) ([]byte, error) {
+			return appendSweepResult(buf, res, func(i int) []byte {
+				if r := res.Points[i].Result; r != nil {
+					return s.store.Encoded(j.keys[i], r)
+				}
+				return nil
+			})
+		})
 	case jobs.StateRunning:
 		writeError(w, http.StatusConflict,
 			"sweep %s is running (%d/%d points); poll GET /v1/sweeps/%s until done", id, st.Done, st.Total, id)

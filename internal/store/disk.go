@@ -255,19 +255,20 @@ func (s *Store) unindex(key results.Key, e diskEntry) {
 }
 
 // diskGet reads and validates key's record with one pread. It returns
-// the envelope bytes and, when decode is set, the decoded value.
+// the envelope bytes, the payload within them, and, when decode is
+// set, the decoded value.
 // Every miss or failure returns ok=false, so the caller falls through
 // to the next tier; a record that fails validation is quarantined.
-func (s *Store) diskGet(key results.Key, decode bool) ([]byte, any, bool) {
+func (s *Store) diskGet(key results.Key, decode bool) (raw, payload []byte, v any, ok bool) {
 	e, f, indexed := s.locate(key)
 	if !indexed {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	if err := faultGet.Hit(); err != nil {
 		// Injected disk-read failure: degrade to a miss, keep the
 		// entry — the disk may come back.
 		s.diskErrors.Add(1)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	rec := make([]byte, e.size)
 	_, err := f.ReadAt(rec, e.off)
@@ -277,7 +278,7 @@ func (s *Store) diskGet(key results.Key, decode bool) ([]byte, any, bool) {
 		// store is closed nothing moves, and the read fails below.
 		ne, nf, ok := s.locate(key)
 		if !ok {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 		if ne.seg == e.seg {
 			break
@@ -288,10 +289,9 @@ func (s *Store) diskGet(key results.Key, decode bool) ([]byte, any, bool) {
 	}
 	if err != nil && err != io.EOF {
 		s.diskErrors.Add(1)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	raw, env, err := decodeRecord(key, rec)
-	var v any
 	switch {
 	case err != nil:
 	case decode:
@@ -302,10 +302,10 @@ func (s *Store) diskGet(key results.Key, decode bool) ([]byte, any, bool) {
 	}
 	if err != nil {
 		s.quarantine(key, e, rec, err)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	s.touch(key)
-	return raw, v, true
+	return raw, env.Payload, v, true
 }
 
 // locate returns key's live record and the file holding it.

@@ -26,6 +26,12 @@
 // version, the content key, a kind tag selecting the Go type to
 // decode into, and a SHA-256 payload checksum, so a stored result can
 // be validated byte-for-byte years later or after a network hop.
+//
+// A stored value is encoded once. The memory tier keeps
+// json.Marshal(value) from Put beside the value; the disk writer and
+// Envelope frame those bytes, a disk or peer hit keeps the verified
+// payload, and Encoded lends them to mapsd's result replies for the
+// exact value they encode. Stored values must not change after Put.
 package store
 
 import (
@@ -106,6 +112,12 @@ func ValidKey(k results.Key) bool {
 // envelope's JSON bytes under key. Any other type is an error: the
 // store only persists what it knows how to decode again.
 func Encode(key results.Key, value any) ([]byte, error) {
+	return encodePayload(key, value, nil)
+}
+
+// encodePayload is Encode for a value whose encoding, json.Marshal(value), the
+// caller may already hold: a non-nil payload is framed as it is.
+func encodePayload(key results.Key, value any, payload []byte) ([]byte, error) {
 	if !ValidKey(key) {
 		return nil, fmt.Errorf("store: invalid key %q", key)
 	}
@@ -118,9 +130,11 @@ func Encode(key results.Key, value any) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("store: cannot encode %T (want *sim.Result or *sim.SuiteResult)", value)
 	}
-	payload, err := json.Marshal(value)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode payload: %w", err)
+	if payload == nil {
+		var err error
+		if payload, err = json.Marshal(value); err != nil {
+			return nil, fmt.Errorf("store: encode payload: %w", err)
+		}
 	}
 	sum := sha256.Sum256(payload)
 	created, err := time.Now().UTC().MarshalJSON()

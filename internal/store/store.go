@@ -68,12 +68,13 @@ type Options struct {
 }
 
 // pendingWrite is one queued disk write: raw envelope bytes when the
-// value arrived already framed (peer fill), otherwise the value to
-// encode on the writer goroutine.
+// value arrived already framed (peer fill), otherwise the value and
+// its encoding, which the writer goroutine frames.
 type pendingWrite struct {
-	key   results.Key
-	value any
-	raw   []byte
+	key     results.Key
+	value   any
+	payload []byte
+	raw     []byte
 }
 
 // Store is the tiered result store. All methods are safe for
@@ -175,28 +176,30 @@ func (s *Store) Memory() *results.Cache { return s.mem }
 
 // Get looks key up through the tiers: memory, then disk, then each
 // peer in order. Lower-tier hits back-fill the tiers above (a peer
-// hit is also queued for the disk tier). ctx bounds only the peer
-// fetches — local tiers never block on it.
+// hit is also queued for the disk tier), the memory tier keeping the
+// verified payload as the value's encoding rather than encoding the
+// decoded value again. ctx bounds only the peer fetches — local
+// tiers never block on it.
 func (s *Store) Get(ctx context.Context, key results.Key) (any, bool) {
 	if v, ok := s.mem.Get(key); ok {
 		s.memHits.Add(1)
 		return v, true
 	}
 	if s.dir != "" {
-		if _, v, ok := s.diskGet(key, true); ok {
+		if _, payload, v, ok := s.diskGet(key, true); ok {
 			s.diskHits.Add(1)
-			s.mem.Put(key, v)
+			s.mem.PutEncoded(key, v, payload)
 			return v, true
 		}
 	}
 	for i := range s.peers {
 		p := &s.peers[i]
-		v, raw, ok := s.fetchPeer(ctx, p, key)
+		env, v, raw, ok := s.fetchPeer(ctx, p, key)
 		if !ok {
 			continue
 		}
 		s.peerFills.Add(1)
-		s.mem.Put(key, v)
+		s.mem.PutEncoded(key, v, env.Payload)
 		s.enqueue(pendingWrite{key: key, raw: raw})
 		return v, true
 	}
@@ -207,17 +210,17 @@ func (s *Store) Get(ctx context.Context, key results.Key) (any, bool) {
 // fetchPeer asks one peer for key, validating the returned envelope
 // exactly like a disk read — a confused or hostile peer can cost a
 // recompute, never serve a wrong or torn result.
-func (s *Store) fetchPeer(ctx context.Context, p *Peer, key results.Key) (any, []byte, bool) {
+func (s *Store) fetchPeer(ctx context.Context, p *Peer, key results.Key) (*Envelope, any, []byte, bool) {
 	if err := faultPeer.Hit(); err != nil {
 		s.peerErrors.Add(1)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	fctx, cancel := context.WithTimeout(ctx, s.peerTimeout)
 	defer cancel()
 	raw, err := p.Fetch(fctx, key)
 	if err != nil {
 		s.peerErrors.Add(1)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	env, err := Decode(raw)
 	if err == nil && env.Key != string(key) {
@@ -230,20 +233,22 @@ func (s *Store) fetchPeer(ctx context.Context, p *Peer, key results.Key) (any, [
 	if err != nil {
 		s.peerErrors.Add(1)
 		s.log.Warn("store: bad peer envelope", "peer", p.Name, "key", string(key), "error", err)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	return v, raw, true
+	return env, v, raw, true
 }
 
 // Put stores value under key in the memory tier and, when a disk tier
-// is configured, queues an asynchronous envelope write. It never
-// blocks on the disk: a full write queue drops the disk copy (counted
-// in Stats.DroppedDiskPuts) and keeps the memory one.
+// is configured, queues an asynchronous envelope write. value is
+// encoded once, by the memory tier's Put; the disk writer frames those
+// bytes. value must not change after Put. It never blocks on the
+// disk: a full write queue drops the disk copy (counted in
+// Stats.DroppedDiskPuts) and keeps the memory one.
 func (s *Store) Put(key results.Key, value any) {
 	s.puts.Add(1)
-	s.mem.Put(key, value)
+	payload := s.mem.Put(key, value)
 	if s.dir != "" {
-		s.enqueue(pendingWrite{key: key, value: value})
+		s.enqueue(pendingWrite{key: key, value: value, payload: payload})
 	}
 }
 
@@ -267,16 +272,15 @@ func (s *Store) enqueue(pw pendingWrite) {
 	}
 }
 
-// writer drains the queue: encode (unless the bytes arrived framed,
-// as peer fills do) and append. Encoding off the Put path
-// keeps simulation workers from paying JSON costs for large suites.
+// writer drains the queue: frame the value's kept encoding (unless
+// the bytes arrived framed, as peer fills do) and append.
 func (s *Store) writer() {
 	defer close(s.writerDone)
 	for pw := range s.writeCh {
 		data := pw.raw
 		if data == nil {
 			var err error
-			if data, err = Encode(pw.key, pw.value); err != nil {
+			if data, err = encodePayload(pw.key, pw.value, pw.payload); err != nil {
 				s.droppedDiskPuts.Add(1)
 				s.log.Warn("store: unencodable value dropped", "key", string(pw.key), "error", err)
 				s.pending.Add(-1)
@@ -291,24 +295,39 @@ func (s *Store) writer() {
 // Envelope returns the raw envelope bytes for key from the local
 // tiers only — peers are never consulted, so two daemons pointing at
 // each other cannot set off a fill storm. This is what the
-// GET /v1/store/{key} handler serves. Memory-tier values are framed
-// on the fly; the memory LRU order and hit counters are left
-// untouched (serving a peer is not local demand).
+// GET /v1/store/{key} handler serves. A memory-tier value's envelope
+// frames the encoding the tier kept at Put, so its payload is
+// json.Marshal of the value; the memory LRU order and hit counters
+// are left untouched (serving a peer is not local demand).
 func (s *Store) Envelope(key results.Key) ([]byte, bool) {
 	if !ValidKey(key) {
 		return nil, false
 	}
-	if v, ok := s.mem.Peek(key); ok {
-		if data, err := Encode(key, v); err == nil {
+	if v, payload, ok := s.mem.Peek(key); ok {
+		if data, err := encodePayload(key, v, payload); err == nil {
 			return data, true
 		}
 	}
 	if s.dir != "" {
-		if raw, _, ok := s.diskGet(key, false); ok {
+		if raw, _, _, ok := s.diskGet(key, false); ok {
 			return raw, true
 		}
 	}
 	return nil, false
+}
+
+// Encoded returns the encoding the memory tier kept for v,
+// json.Marshal(v), when the tier holds exactly v under key: the same
+// pointer, not an equal value. So a reply never splices bytes kept for
+// another value stored under key since, such as a no_cache re-run's
+// result with its own Timing. It returns nil otherwise, and, like
+// Envelope, leaves LRU order and hit counts alone. v must be a
+// pointer.
+func (s *Store) Encoded(key results.Key, v any) []byte {
+	if cur, data, ok := s.mem.Peek(key); ok && cur == v {
+		return data
+	}
+	return nil
 }
 
 // Flush blocks until every queued disk write has been attempted, or
