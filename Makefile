@@ -5,11 +5,11 @@
 
 GO ?= go
 
-# Packages with real concurrency (worker pool, server, suite fan-out,
-# result cache, fault injection, sweep executor tests, tiered result
-# store, fleet coordinator, sweep journal, the experiments' plans —
-# whose Taps and done steps run on the executor's pool goroutines —
-# and the root package's fleet and crash e2e tests) — the ones -race
+# Packages with real concurrency (worker pool, server, result cache,
+# fault injection, sweep executor tests, tiered result store, fleet
+# coordinator, sweep journal, the experiments' plans — whose Taps and
+# done steps run on the executor's pool goroutines — and the root
+# package's suite, fleet and crash e2e tests) — the ones -race
 # can actually catch regressions in. The server and journal lists
 # include the chaos tests.
 RACE_PKGS := ./internal/server ./internal/jobs ./internal/results ./internal/sim ./internal/faults ./internal/sweep ./internal/store ./internal/fleet ./internal/journal ./internal/trace ./internal/workload ./internal/workload/spec ./internal/experiments .

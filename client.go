@@ -24,7 +24,7 @@ type (
 	JobRequest = server.JobRequest
 	// JobStatus describes a submitted job.
 	JobStatus = server.JobStatus
-	// JobResult carries a finished job's result (Run or Suite set).
+	// JobResult carries a finished job's result.
 	JobResult = server.JobResult
 	// JobProgress reports how far a running job's simulation has come.
 	JobProgress = server.JobProgress
@@ -55,8 +55,7 @@ type (
 
 // Job types and states.
 const (
-	JobRun   = server.TypeRun
-	JobSuite = server.TypeSuite
+	JobRun = server.TypeRun
 
 	JobQueued   = jobs.StateQueued
 	JobRunning  = jobs.StateRunning
@@ -330,28 +329,6 @@ func (c *Client) RunRemote(ctx context.Context, spec ConfigSpec) (*Result, error
 		return nil, err
 	}
 	return c.runResult(ctx, st)
-}
-
-// RunSuiteRemote submits a suite job, waits, and returns the result —
-// the remote analogue of RunSuite.
-func (c *Client) RunSuiteRemote(ctx context.Context, spec ConfigSpec, benchmarks []string, parallelism int) (*SuiteResult, error) {
-	st, err := c.Submit(ctx, JobRequest{
-		Type: JobSuite, Config: spec, Benchmarks: benchmarks, Parallelism: parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st, err = c.awaitDone(ctx, st); err != nil {
-		return nil, err
-	}
-	res, err := c.Result(ctx, st.ID)
-	if err != nil {
-		return nil, err
-	}
-	if res.Suite == nil {
-		return nil, fmt.Errorf("mapsim: job %s returned no suite result", st.ID)
-	}
-	return res.Suite, nil
 }
 
 func (c *Client) runResult(ctx context.Context, st JobStatus) (*Result, error) {

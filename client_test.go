@@ -36,49 +36,51 @@ func startDaemon(t *testing.T) (*mapsim.Client, *server.Server) {
 	return c, srv
 }
 
-// The acceptance path: a suite job served end-to-end through the
-// client, then the identical request answered from the cache without
-// re-running the simulator.
+// The acceptance path: a suite — a sweep over the benchmark axis —
+// served end-to-end through the client, then the identical request
+// answered from the store without re-running the simulator.
 func TestClientSuiteEndToEndWithCache(t *testing.T) {
 	c, srv := startDaemon(t)
 	ctx := context.Background()
-	spec := mapsim.ConfigSpec{Instructions: 30_000}
-	benchmarks := []string{"libquantum", "fft"}
+	req := mapsim.SweepRequest{
+		Base:        mapsim.ConfigSpec{Instructions: 30_000},
+		Axes:        mapsim.SweepAxes{Benchmarks: []string{"libquantum", "fft"}},
+		Parallelism: 2,
+	}
 
-	first, err := c.RunSuiteRemote(ctx, spec, benchmarks, 2)
+	sr, err := c.RunSweepRemote(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := sr.Suite()
 	if len(first.PerBench) != 2 || first.GeomeanIPC <= 0 {
 		t.Fatalf("suite result: %+v", first)
 	}
 
 	hitsBefore := srv.CacheStats().Hits
-	completedBefore := srv.PoolStats().Completed
+	poolBefore := srv.PoolStats()
 
-	st, err := c.Submit(ctx, mapsim.JobRequest{
-		Type: mapsim.JobSuite, Config: spec, Benchmarks: benchmarks, Parallelism: 2,
-	})
+	st, err := c.Sweep(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.CacheHit || st.State != mapsim.JobDone {
-		t.Fatalf("second identical suite POST must be a born-done cache hit: %+v", st)
+	if st.State != mapsim.JobDone || st.Total != 2 || st.Deduped != 2 {
+		t.Fatalf("second identical suite POST must be a born-done store hit: %+v", st)
 	}
-	if hits := srv.CacheStats().Hits; hits != hitsBefore+1 {
-		t.Fatalf("cache hits %d → %d, want +1", hitsBefore, hits)
+	if hits := srv.CacheStats().Hits; hits != hitsBefore+2 {
+		t.Fatalf("cache hits %d → %d, want +2 (one per benchmark)", hitsBefore, hits)
 	}
-	res, err := c.Result(ctx, st.ID)
+	res, err := c.SweepResultRemote(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Suite == nil || len(res.Suite.PerBench) != 2 {
-		t.Fatalf("cached suite result: %+v", res)
+	if again := res.Suite(); len(again.PerBench) != 2 || again.GeomeanIPC != first.GeomeanIPC {
+		t.Fatalf("cached suite result: %+v", again)
 	}
-	// The pool completed the cache-hit job without a worker running
-	// anything: completed count rose by exactly the one born-done job.
-	if got := srv.PoolStats().Completed; got != completedBefore+1 {
-		t.Fatalf("pool completed %d → %d, want +1 (no re-simulation)", completedBefore, got)
+	// No worker ran anything: the pool saw no new job at all.
+	if got := srv.PoolStats(); got.Submitted != poolBefore.Submitted || got.Completed != poolBefore.Completed {
+		t.Fatalf("pool submitted %d → %d, completed %d → %d, want no change (no re-simulation)",
+			poolBefore.Submitted, got.Submitted, poolBefore.Completed, got.Completed)
 	}
 }
 

@@ -144,8 +144,8 @@ flags:
 		return 2
 	}
 	if *suite && (p.Policy != "" || p.Partition != "") {
-		// The fan-out shares one config, and policy instances are
-		// stateful: suites run the pseudo-LRU default.
+		// A suite sweeps the benchmark axis alone, over a base that
+		// names no policy: suites run the pseudo-LRU default.
 		fmt.Fprintln(os.Stderr, "maps run: -suite runs the default replacement policy; drop -policy")
 		return 2
 	}
@@ -203,19 +203,26 @@ func runOne(cs mapsim.ConfigSpec, p sweep.Point, remote, tracePath string) (*sim
 	return res, nil
 }
 
-// runSuite fans the point's config out over every registered benchmark,
-// locally or on the daemon at remote, stripping host timing as runOne
-// does.
+// runSuite runs the point's config over every registered benchmark as
+// a sweep of the benchmark axis: locally through mapsim.RunSuite, or as
+// a sweep on the daemon at remote, whose store then holds every
+// benchmark's run. Host timing is stripped as runOne does.
 func runSuite(cs mapsim.ConfigSpec, p sweep.Point, remote string) (*sim.SuiteResult, error) {
+	benchmarks := mapsim.Benchmarks()
 	var res *sim.SuiteResult
-	var err error
 	if remote != "" {
-		res, err = mapsim.NewClient(remote).RunSuiteRemote(context.Background(), cs, nil, 0)
+		sr, err := mapsim.NewClient(remote).RunSweepRemote(context.Background(), mapsim.SweepRequest{
+			Base: cs, Axes: mapsim.SweepAxes{Benchmarks: benchmarks},
+		}, nil)
+		if err != nil {
+			return nil, err
+		}
+		res = sr.Suite()
 	} else {
-		res, err = mapsim.RunSuite(p.Config, nil, 0)
-	}
-	if err != nil {
-		return nil, err
+		var err error
+		if res, err = mapsim.RunSuite(p.Config, benchmarks, 0); err != nil {
+			return nil, err
+		}
 	}
 	res.Wall = 0
 	for _, r := range res.PerBench {

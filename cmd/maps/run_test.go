@@ -3,15 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"maps"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/maps-sim/mapsim/internal/jobs"
 	"github.com/maps-sim/mapsim/internal/server"
+	"github.com/maps-sim/mapsim/internal/sim"
 )
 
 const testSpecYAML = `
@@ -202,5 +209,76 @@ func TestRunLocalMatchesDaemon(t *testing.T) {
 				t.Errorf("local and daemon results differ:\nlocal:  %s\ndaemon: %s", local, remote)
 			}
 		})
+	}
+}
+
+// TestSuiteRunsAreStoreHits: `maps run -suite -remote` runs as a sweep,
+// so the daemon's store holds every benchmark's run, and a later
+// `maps run -remote` of one benchmark with the same flags is answered
+// from it: a born-done cache hit that simulates nothing, whose Result
+// is the suite's entry for that benchmark.
+func TestSuiteRunsAreStoreHits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildMaps(t)
+	srv := server.New(server.Config{Workers: 2})
+	handler := srv.Handler()
+	var mu sync.Mutex
+	var submits []server.JobStatus
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/jobs" {
+			handler.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		var st server.JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Errorf("submit reply %q: %v", rec.Body.String(), err)
+		}
+		mu.Lock()
+		submits = append(submits, st)
+		mu.Unlock()
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	flags := []string{"run", "-json", "-instructions", "30000", "-meta", "16KB", "-remote", ts.URL}
+	out, stderr, err := runMaps(t, bin, append(flags, "-suite")...)
+	if err != nil {
+		t.Fatalf("suite: %v\n%s", err, stderr)
+	}
+	var suite sim.SuiteResult
+	if err := json.Unmarshal([]byte(out), &suite); err != nil {
+		t.Fatal(err)
+	}
+	misses := srv.StoreStats().Misses
+
+	out, stderr, err = runMaps(t, bin, append(flags, "-bench", "canneal")...)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(submits) != 1 || !submits[0].CacheHit || submits[0].State != jobs.StateDone {
+		t.Fatalf("run after the suite submitted %+v, want one born-done cache hit", submits)
+	}
+	if got := srv.StoreStats().Misses; got != misses {
+		t.Fatalf("store misses %d → %d: the run simulated again", misses, got)
+	}
+	var run sim.Result
+	if err := json.Unmarshal([]byte(out), &run); err != nil {
+		t.Fatal(err)
+	}
+	if want := suite.PerBench["canneal"]; want == nil || !reflect.DeepEqual(&run, want) {
+		t.Fatalf("run result differs from the suite's canneal entry:\nrun   %+v\nsuite %+v", run, want)
 	}
 }

@@ -1,5 +1,5 @@
 // Command mapsd serves the MAPS simulator as a long-lived daemon:
-// submit simulation, suite, or parameter-sweep jobs over HTTP, poll
+// submit simulation jobs or parameter sweeps over HTTP, poll
 // their status and progress, and fetch results. Identical requests
 // (by canonical config hash) are answered from an LRU result cache
 // without re-simulating; sweeps consult the same cache per point and
@@ -235,7 +235,7 @@ func main() {
 	})
 	// Timeouts bound every connection phase so one stalled client
 	// cannot pin a goroutine: headers in 10s, the whole request in
-	// 30s, responses written within 60s (suite results are large but
+	// 30s, responses written within 60s (sweep results are large but
 	// bounded), idle keep-alives reaped after 2 minutes.
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -8,7 +8,7 @@ import (
 // Progress is a lock-free tracker of how far a long computation has
 // come, in whatever unit the producer ticks it with (the simulator
 // uses retired instructions). One goroutine — or several, as in a
-// suite fan-out — calls Add from its hot loop; any number of readers
+// suite's runs — calls Add from its hot loop; any number of readers
 // call Snapshot concurrently.
 //
 // The producer-side operations are a single atomic each, and the

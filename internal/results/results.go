@@ -15,8 +15,6 @@
 //  3. Every remaining field is written into the hash in a fixed
 //     order with an explicit field tag, so reordering or adding
 //     fields can never silently collide with an old encoding.
-//  4. Suite jobs additionally hash the benchmark list in request
-//     order (order changes SuiteResult.Order, hence the result).
 package results
 
 import (
@@ -75,28 +73,6 @@ func KeyFor(cfg sim.Config) (Key, error) {
 	h := sha256.New()
 	hashString(h, "kind", "run")
 	hashConfig(h, c)
-	return Key(hex.EncodeToString(h.Sum(nil))), nil
-}
-
-// SuiteKeyFor computes the content address of a suite fan-out: the
-// shared configuration plus the benchmark list in request order. The
-// base config's Benchmark is excluded — RunSuite overrides it per
-// benchmark, so it cannot influence the result.
-func SuiteKeyFor(base sim.Config, benchmarks []string) (Key, error) {
-	// A suite base config legitimately omits Benchmark; satisfy
-	// Canonical with a placeholder that is then ignored.
-	base.Benchmark = "-"
-	c, err := base.Canonical()
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	hashString(h, "kind", "suite")
-	hashConfig(h, c)
-	hashField(h, "benchcount", uint64(len(benchmarks)))
-	for _, b := range benchmarks {
-		hashString(h, "bench", b)
-	}
 	return Key(hex.EncodeToString(h.Sum(nil))), nil
 }
 
@@ -206,11 +182,11 @@ type entry struct {
 }
 
 // Cache is a thread-safe LRU-bounded map from content address to
-// result. Values are opaque (the server stores *sim.Result and
-// *sim.SuiteResult); the cache never mutates them, and callers must
-// treat returned values as shared and immutable. Each entry keeps its
-// value's JSON encoding beside it, so the value is encoded once, at
-// Put, however often it is served.
+// result. Values are opaque (the server stores *sim.Result); the
+// cache never mutates them, and callers must treat returned values as
+// shared and immutable. Each entry keeps its value's JSON encoding
+// beside it, so the value is encoded once, at Put, however often it is
+// served.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int

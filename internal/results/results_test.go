@@ -94,47 +94,6 @@ func TestKeyRejectsStatefulConfigs(t *testing.T) {
 	}
 }
 
-func TestSuiteKey(t *testing.T) {
-	base := sim.Config{Secure: true}
-	k1, err := SuiteKeyFor(base, []string{"fft", "canneal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := SuiteKeyFor(base, []string{"fft", "canneal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatal("identical suite requests hash differently")
-	}
-	k3, err := SuiteKeyFor(base, []string{"canneal", "fft"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k3 {
-		t.Fatal("benchmark order must be part of the address (it changes SuiteResult.Order)")
-	}
-	// The base Benchmark is overridden per benchmark by RunSuite, so
-	// it must not influence the suite address.
-	withBench := base
-	withBench.Benchmark = "fft"
-	k4, err := SuiteKeyFor(withBench, []string{"fft", "canneal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k4 {
-		t.Fatal("base Benchmark leaked into the suite address")
-	}
-	// Run and suite addresses live in separate namespaces.
-	run, err := KeyFor(sim.Config{Benchmark: "-", Secure: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Key(run) == k1 {
-		t.Fatal("run and suite addresses collide")
-	}
-}
-
 func TestCacheLRUEviction(t *testing.T) {
 	c := New(2)
 	c.Put("a", 1)

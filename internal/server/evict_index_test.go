@@ -6,6 +6,20 @@ import (
 	"time"
 )
 
+// finishOrder builds the finish index of a registry by walking it:
+// its terminal sweeps, oldest-finished first. It is the reference the
+// live index (registerLocked, finishLocked) is held to.
+func finishOrder(sweeps map[string]*sweepJob) []finishedSweep {
+	var idx []finishedSweep
+	for id, j := range sweeps {
+		if state, finished := j.finishState(); state.Terminal() {
+			idx = append(idx, finishedSweep{id, finished})
+		}
+	}
+	slices.SortFunc(idx, func(a, b finishedSweep) int { return a.finished.Compare(b.finished) })
+	return idx
+}
+
 // evictionOrder returns the IDs evictSweeps evicts from a registry
 // over its cap by over, indexed by walking it: the two steps of
 // evictSweeps that TestEvictionOrderMatchesSort holds to sorting.

@@ -72,7 +72,12 @@ func TestEvictionOrderMatchesSort(t *testing.T) {
 		t.Errorf("no TTL: evicted %v, want %v", got, want)
 	}
 
-	s := &Server{log: obs.Nop(), sweeps: sweeps, maxSweeps: 50, sweepTTL: ttl}
+	// The finish index and running count as registerLocked and
+	// finishLocked leave them: every terminal sweep in finish order,
+	// every other one counted.
+	finished := finishOrder(sweeps)
+	s := &Server{log: obs.Nop(), sweeps: sweeps, maxSweeps: 50, sweepTTL: ttl,
+		finished: finished, running: len(sweeps) - len(finished)}
 	want := evictionBySort(sweeps, 10, expired)
 	s.evictSweeps(now)
 	for _, id := range want {

@@ -122,16 +122,13 @@ func appendPointResult(buf []byte, p *sweep.PointResult, data []byte) ([]byte, e
 }
 
 // appendJobResult appends the encoding of JobResult{ID: id, Type: typ}
-// with field ("run" or "suite") set to the value data encodes, and a
-// newline.
-func appendJobResult(buf []byte, id, typ, field string, data []byte) []byte {
+// with Run set to the value data encodes, and a newline.
+func appendJobResult(buf []byte, id, typ string, data []byte) []byte {
 	buf = append(buf, `{"id":`...)
 	buf = appendString(buf, id)
 	buf = append(buf, `,"type":`...)
 	buf = appendString(buf, typ)
-	buf = append(buf, `,"`...)
-	buf = append(buf, field...)
-	buf = append(buf, `":`...)
+	buf = append(buf, `,"run":`...)
 	buf = append(buf, data...)
 	return append(buf, "}\n"...)
 }

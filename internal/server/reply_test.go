@@ -70,7 +70,7 @@ func TestReplyWriterKnowsEveryField(t *testing.T) {
 			"result, *sim.Result", "cached,omitempty bool", "worker,omitempty string",
 		}},
 		{JobResult{}, []string{
-			"id, string", "type, string", "run,omitempty *sim.Result", "suite,omitempty *sim.SuiteResult",
+			"id, string", "type, string", "run,omitempty *sim.Result",
 		}},
 	} {
 		if got := jsonFields(reflect.TypeOf(c.v)); !slices.Equal(got, c.want) {

@@ -2,12 +2,13 @@
 // (internal/jobs) and the content-addressed result cache
 // (internal/results).
 //
-//	POST   /v1/jobs              submit a run or suite job
+//	POST   /v1/jobs              submit a run job
 //	GET    /v1/jobs/{id}          poll status
 //	GET    /v1/jobs/{id}/result   fetch the finished result
 //	GET    /v1/jobs/{id}/progress instructions retired mid-run
 //	DELETE /v1/jobs/{id}          cancel
-//	POST   /v1/sweeps             submit a parameter sweep (config grid)
+//	POST   /v1/sweeps             submit a parameter sweep (config grid; a suite
+//	                              is a sweep of the benchmark axis)
 //	GET    /v1/sweeps/{id}        sweep progress (?watch=1 streams NDJSON)
 //	GET    /v1/sweeps/{id}/result fetch the finished sweep.Result
 //	DELETE /v1/sweeps/{id}        cancel a sweep
@@ -453,71 +454,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Type == "" {
 		req.Type = TypeRun
 	}
+	if req.Type != TypeRun {
+		writeError(w, http.StatusBadRequest,
+			"unknown job type %q: a job runs one config; sweep benchmarks with POST /v1/sweeps", req.Type)
+		return
+	}
 	point, err := req.Config.Point()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad config: %v", err)
 		return
 	}
-	cfg := point.Config
-	timeout := time.Duration(req.TimeoutSec * float64(time.Second))
-
-	var key results.Key
-	var fn jobs.Fn
-	prog := new(obs.Progress)
-	switch req.Type {
-	case TypeRun:
-		if len(req.Benchmarks) > 0 {
-			writeError(w, http.StatusBadRequest, "run jobs take config.benchmark, not benchmarks")
-			return
-		}
-		if cfg.WorkloadSpec == nil {
-			// Spec-driven runs validate through PointKeyFor below (the
-			// spec's name is not a registry entry by design).
-			if _, err := workload.New(cfg.Benchmark); err != nil {
-				writeError(w, http.StatusBadRequest, "bad config: %v", err)
-				return
-			}
-		}
-		key, err = sweep.PointKey(point)
-		if err != nil {
+	if point.Config.WorkloadSpec == nil {
+		// Spec-driven runs validate through PointKey below (the spec's
+		// name is not a registry entry by design).
+		if _, err := workload.New(point.Config.Benchmark); err != nil {
 			writeError(w, http.StatusBadRequest, "bad config: %v", err)
 			return
 		}
-		fn = s.runFn(point, key, prog)
-	case TypeSuite:
-		if req.Config.Workload != nil {
-			// A suite varies the benchmark; a base workload spec would
-			// silently override every entry.
-			writeError(w, http.StatusBadRequest, "suite jobs cannot set config.workload")
-			return
-		}
-		if point.Policy != "" || point.Partition != "" {
-			// Suites share one config across the fan-out; stateful
-			// policy instances must not be shared, so suites always
-			// run the defaults.
-			writeError(w, http.StatusBadRequest, "suite jobs cannot set meta.policy or meta.partition")
-			return
-		}
-		benchmarks := req.Benchmarks
-		if len(benchmarks) == 0 {
-			benchmarks = workload.Names()
-		}
-		for _, b := range benchmarks {
-			if _, err := workload.New(b); err != nil {
-				writeError(w, http.StatusBadRequest, "bad benchmark list: %v", err)
-				return
-			}
-		}
-		key, err = results.SuiteKeyFor(cfg, benchmarks)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad config: %v", err)
-			return
-		}
-		fn = s.suiteFn(cfg, benchmarks, req.Parallelism, key, prog)
-	default:
-		writeError(w, http.StatusBadRequest, "unknown job type %q (want run or suite)", req.Type)
+	}
+	key, err := sweep.PointKey(point)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad config: %v", err)
 		return
 	}
+	prog := new(obs.Progress)
+	fn := s.runFn(point, key, prog)
+	timeout := time.Duration(req.TimeoutSec * float64(time.Second))
 
 	if !req.NoCache {
 		if cached, ok := s.store.Get(r.Context(), key); ok {
@@ -631,27 +593,6 @@ func (s *Server) runFn(p sweep.Point, key results.Key, prog *obs.Progress) jobs.
 	}
 }
 
-func (s *Server) suiteFn(cfg sim.Config, benchmarks []string, parallelism int, key results.Key, prog *obs.Progress) jobs.Fn {
-	cfg.Progress = prog
-	return func(ctx context.Context) (any, error) {
-		defer s.clearInflight(key, jobs.IDFromContext(ctx))
-		ctx = s.jobCtx(ctx, TypeSuite, "benchmarks", len(benchmarks))
-		t0 := time.Now()
-		res, err := sim.RunSuiteContext(ctx, cfg, benchmarks, parallelism)
-		if err != nil {
-			return nil, err
-		}
-		var instrs uint64
-		for _, r := range res.PerBench {
-			instrs += r.Instructions
-			s.recordTiming(r.Timing)
-		}
-		s.account(instrs, time.Since(t0))
-		s.store.Put(key, res)
-		return res, nil
-	}
-}
-
 // recordTiming folds one run's phase profile into the cumulative
 // per-phase counters served at /metrics.
 func (s *Server) recordTiming(t sim.PhaseTiming) {
@@ -720,22 +661,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is %s: %s", id, snap.State, snap.Err)
 		return
 	}
-	m := s.jobMeta(id)
-	out := JobResult{ID: id, Type: m.typ}
-	field := "run"
-	switch res := snap.Result.(type) {
-	case *sim.Result:
-		out.Run = res
-	case *sim.SuiteResult:
-		out.Suite, field = res, "suite"
-	default:
+	res, ok := snap.Result.(*sim.Result)
+	if !ok {
 		writeError(w, http.StatusInternalServerError, "job %s holds unexpected result type %T", id, snap.Result)
 		return
 	}
+	m := s.jobMeta(id)
+	out := JobResult{ID: id, Type: m.typ, Run: res}
 	// A result still in the memory tier has its encoding kept there.
-	if data := s.store.Encoded(m.key, snap.Result); data != nil {
+	if data := s.store.Encoded(m.key, res); data != nil {
 		writeReply(w, out, func(buf []byte) ([]byte, error) {
-			return appendJobResult(buf, id, m.typ, field, data), nil
+			return appendJobResult(buf, id, m.typ, data), nil
 		})
 		return
 	}

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/jobs"
+	"github.com/maps-sim/mapsim/internal/sweep"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -95,7 +97,7 @@ func TestSubmitStatusResultHappyPath(t *testing.T) {
 	if resp := getJSON(t, ts, "/v1/jobs/"+st.ID+"/result", &res); resp.StatusCode != 200 {
 		t.Fatalf("result status %d", resp.StatusCode)
 	}
-	if res.Type != TypeRun || res.Run == nil || res.Suite != nil {
+	if res.Type != TypeRun || res.Run == nil {
 		t.Fatalf("bad result envelope: %+v", res)
 	}
 	if res.Run.Benchmark != "libquantum" || res.Run.Instructions == 0 || res.Run.MetaHitRate <= 0 {
@@ -309,32 +311,64 @@ func TestRunJobPolicyKeys(t *testing.T) {
 	}
 }
 
+// TestSuiteEndToEnd: a suite is a sweep over the benchmark axis, and
+// its result reduces to the suite report. Resubmitted, the suite is a
+// born-done sweep: the store answers every benchmark's run.
 func TestSuiteEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	body := `{"type":"suite","config":{"instructions":30000},"benchmarks":["libquantum","fft"],"parallelism":2}`
-	st, resp := postJob(t, ts, body)
+	body := `{"base":{"instructions":30000},"axes":{"benchmarks":["libquantum","fft"]},"parallelism":2}`
+	st, resp := postSweep(t, ts, body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	final := waitDone(t, ts, st.ID)
+	final := waitSweepDone(t, ts, st.ID)
 	if final.State != jobs.StateDone {
 		t.Fatalf("state %s (%s)", final.State, final.Error)
 	}
-	var res JobResult
-	getJSON(t, ts, "/v1/jobs/"+st.ID+"/result", &res)
-	if res.Type != TypeSuite || res.Suite == nil {
-		t.Fatalf("bad suite envelope: %+v", res)
+	var res sweep.Result
+	getJSON(t, ts, "/v1/sweeps/"+st.ID+"/result", &res)
+	suite := res.Suite()
+	if !slices.Equal(suite.Order, []string{"libquantum", "fft"}) {
+		t.Fatalf("bad suite order: %v", suite.Order)
 	}
-	if len(res.Suite.PerBench) != 2 || res.Suite.GeomeanIPC <= 0 {
-		t.Fatalf("bad suite result: %+v", res.Suite)
+	if len(suite.PerBench) != 2 || suite.GeomeanIPC <= 0 {
+		t.Fatalf("bad suite result: %+v", suite)
 	}
-	// Second identical suite POST is a cache hit.
-	again, resp := postJob(t, ts, body)
-	if resp.StatusCode != http.StatusOK || !again.CacheHit {
+	// Its runs count toward the daemon's simulation metrics.
+	s.phaseMu.Lock()
+	runs := s.phaseRuns
+	s.phaseMu.Unlock()
+	want := suite.PerBench["libquantum"].Instructions + suite.PerBench["fft"].Instructions
+	if got := s.instrTotal.Load(); got != want || runs != 2 {
+		t.Fatalf("simulated instructions %d over %d runs, want %d over 2", got, runs, want)
+	}
+	// Second identical suite POST is a store hit, done at submit.
+	again, resp := postSweep(t, ts, body)
+	if resp.StatusCode != http.StatusAccepted || again.State != jobs.StateDone || again.Deduped != 2 {
 		t.Fatalf("suite re-post: %d %+v", resp.StatusCode, again)
 	}
 	if s.CacheStats().Hits == 0 {
 		t.Fatal("suite cache hit not counted")
+	}
+}
+
+// A job runs one config; a job of any other type, such as the suite
+// jobs older clients sent, is refused with a pointer to the sweep
+// endpoint that runs suites now.
+func TestNonRunJobPointsToSweeps(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"type":"suite","config":{"instructions":30000}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "/v1/sweeps") {
+		t.Fatalf("suite job: %d %q, want 400 naming /v1/sweeps", resp.StatusCode, e.Error)
 	}
 }
 

@@ -89,13 +89,15 @@ func TestSpecRunRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
+// A suite is a sweep over the benchmark axis; a workload spec in its
+// base would override every benchmark, so the sweep refuses it.
 func TestSuiteRejectsWorkloadSpec(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	body := `{"type":"suite","config":{"workload":{
+	body := `{"base":{"workload":{
 		"name": "svc-mix",
 		"clients": [{"name": "a", "rate_fraction": 1, "footprint": 262144}]
-	},"instructions": 10000},"benchmarks":["fft"]}`
-	_, resp := postJob(t, ts, body)
+	},"instructions": 10000},"axes":{"benchmarks":["fft"]}}`
+	_, resp := postSweep(t, ts, body)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("suite with workload spec: status %d, want 400", resp.StatusCode)
 	}

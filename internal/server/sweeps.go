@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -339,11 +338,9 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 	if parallelism <= 0 {
 		parallelism = s.pool.Stats().Workers
 	}
+	local := &fleet.PoolRunner{Pool: s.pool}
 	workers := make([]fleet.Worker, 0, len(s.fleetWorkers)+1)
-	workers = append(workers, fleet.Worker{
-		Runner:      &fleet.PoolRunner{Pool: s.pool},
-		MaxInflight: parallelism,
-	})
+	workers = append(workers, fleet.Worker{Runner: local, MaxInflight: parallelism})
 	workers = append(workers, s.fleetWorkers...)
 	coord := &fleet.Coordinator{
 		Workers:        workers,
@@ -371,6 +368,13 @@ func (s *Server) startSweep(ctx context.Context, cancel context.CancelFunc, j *s
 			}
 			j.mu.Unlock()
 			s.sweepPointsDone.Add(1)
+			if !pr.Cached && pr.Worker == local.Name() {
+				// A point this daemon simulated counts toward its
+				// throughput and phase metrics as a run job does, so a
+				// suite, which runs as a sweep, still shows there.
+				s.account(pr.Result.Instructions, pr.Result.Timing.Total)
+				s.recordTiming(pr.Result.Timing)
+			}
 			// The store answers a cache-enabled sweep's finished points
 			// on resume, so only NoCache sweeps, which skip that lookup,
 			// journal them.
@@ -507,9 +511,8 @@ func (s *Server) finishLocked(j *sweepJob) {
 // journal goes with its registry entry — by then its points live in
 // the result store, so nothing irreplaceable is lost. Called
 // opportunistically on submissions and /metrics scrapes, it pops only
-// what it evicts off the finish index. A registry filled without the
-// index, which the running count and the index do not add up to, is
-// indexed first (finishOrder).
+// what it evicts off the finish index, which registerLocked and
+// finishLocked keep in step with the registry.
 func (s *Server) evictSweeps(now time.Time) {
 	if s.sweepTTL <= 0 && s.maxSweeps <= 0 {
 		return
@@ -518,10 +521,6 @@ func (s *Server) evictSweeps(now time.Time) {
 		return s.sweepTTL > 0 && now.Sub(finished) > s.sweepTTL
 	}
 	s.mu.Lock()
-	if len(s.finished)+s.running != len(s.sweeps) {
-		s.finished = finishOrder(s.sweeps)
-		s.running = len(s.sweeps) - len(s.finished)
-	}
 	over := 0
 	if s.maxSweeps > 0 {
 		over = len(s.sweeps) - s.maxSweeps
@@ -555,19 +554,6 @@ func evictFront(idx []finishedSweep, over int, expired func(time.Time) bool) (id
 		ids[i] = idx[i].id
 	}
 	return ids, idx[n:]
-}
-
-// finishOrder builds the finish index of a registry by walking it:
-// its terminal sweeps, oldest-finished first.
-func finishOrder(sweeps map[string]*sweepJob) []finishedSweep {
-	var idx []finishedSweep
-	for id, j := range sweeps {
-		if state, finished := j.finishState(); state.Terminal() {
-			idx = append(idx, finishedSweep{id, finished})
-		}
-	}
-	slices.SortFunc(idx, func(a, b finishedSweep) int { return a.finished.Compare(b.finished) })
-	return idx
 }
 
 // awaitSweeps blocks (bounded by ctx) until every sweep coordinator

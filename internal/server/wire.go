@@ -18,11 +18,10 @@ import (
 	wspec "github.com/maps-sim/mapsim/internal/workload/spec"
 )
 
-// Job types accepted by POST /v1/jobs.
-const (
-	TypeRun   = "run"   // one benchmark, one sim.Result
-	TypeSuite = "suite" // benchmark fan-out, one sim.SuiteResult
-)
+// TypeRun is the one job type POST /v1/jobs accepts: one config, one
+// sim.Result. A suite runs as a sweep over the benchmark axis
+// (POST /v1/sweeps).
+const TypeRun = "run"
 
 // ByteSize is an int byte count that also unmarshals from strings
 // like "64KB" or "1MB", so curl requests read like the CLI flags.
@@ -68,7 +67,7 @@ type MetaSpec struct {
 	PartialWrites bool   `json:"partial_writes,omitempty"`
 	// Policy names the replacement policy ("plru", "lru", "srrip",
 	// "eva", ...); empty means the pseudo-LRU default. Run jobs only —
-	// suites always run the default.
+	// a sweep names policies on its axes.
 	Policy string `json:"policy,omitempty"`
 	// Partition names the way-partition scheme; empty means none.
 	// Run jobs only.
@@ -283,15 +282,9 @@ func SpecFromSim(cfg sim.Config, policy, partition string) (ConfigSpec, error) {
 
 // JobRequest is the body of POST /v1/jobs.
 type JobRequest struct {
-	// Type selects run or suite; empty defaults to run.
+	// Type must be run (TypeRun) or empty, which means run.
 	Type   string     `json:"type,omitempty"`
 	Config ConfigSpec `json:"config"`
-	// Benchmarks restricts a suite fan-out (empty = full registry).
-	// Run jobs must leave it empty and name Config.Benchmark instead.
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	// Parallelism bounds a suite's concurrent simulations inside its
-	// one job slot (default NumCPU).
-	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutSec caps the job's runtime; zero means no deadline.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 	// NoCache skips the result-cache lookup (the computed result is
@@ -325,8 +318,7 @@ type JobStatus struct {
 type JobProgress struct {
 	ID    string     `json:"id"`
 	State jobs.State `json:"state"`
-	// InstructionsDone counts instructions retired so far; for suite
-	// jobs it sums across the whole fan-out.
+	// InstructionsDone counts instructions retired so far.
 	InstructionsDone uint64 `json:"instructions_done"`
 	// InstructionsTotal is the expected total (0 until the run
 	// publishes it).
@@ -342,13 +334,11 @@ type JobProgress struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
-// JobResult is the body of GET /v1/jobs/{id}/result. Exactly one of
-// Run/Suite is set, matching Type.
+// JobResult is the body of GET /v1/jobs/{id}/result.
 type JobResult struct {
-	ID    string           `json:"id"`
-	Type  string           `json:"type"`
-	Run   *sim.Result      `json:"run,omitempty"`
-	Suite *sim.SuiteResult `json:"suite,omitempty"`
+	ID   string      `json:"id"`
+	Type string      `json:"type"`
+	Run  *sim.Result `json:"run,omitempty"`
 }
 
 // ErrorResponse is every non-2xx body.

@@ -77,9 +77,9 @@ type concurrencyKey struct{}
 
 // WithConcurrency records that the caller is already running n
 // simulations in parallel. Nested callers compose multiplicatively
-// (a 4-worker job pool running 2-way suite fan-outs occupies 8
-// cores). A secure run pipelines its two stages only when the CPUs
-// not claimed by that parallelism leave it a second core, so
+// (a 4-worker job pool whose jobs each run 2 simulations at once
+// occupies 8 cores). A secure run pipelines its two stages only when
+// the CPUs not claimed by that parallelism leave it a second core, so
 // saturated pools keep every run on one goroutine.
 func WithConcurrency(ctx context.Context, n int) context.Context {
 	if n < 1 {

@@ -82,30 +82,6 @@ func TestProgressMonotonicMidRun(t *testing.T) {
 	}
 }
 
-// A suite sharing one Progress must publish the whole fan-out's total
-// before runs start adding to it.
-func TestSuiteProgressTotal(t *testing.T) {
-	var p obs.Progress
-	base := Config{
-		Instructions: 2 * cancelCheckInterval,
-		Warmup:       cancelCheckInterval,
-		Secure:       true,
-		Progress:     &p,
-	}
-	benches := []string{"fft", "libquantum", "lbm"}
-	if _, err := RunSuite(base, benches, 2); err != nil {
-		t.Fatal(err)
-	}
-	s := p.Snapshot()
-	wantTotal := uint64(len(benches)) * (base.Warmup + base.Instructions)
-	if s.Total != wantTotal {
-		t.Errorf("suite total = %d, want %d", s.Total, wantTotal)
-	}
-	if s.Done < wantTotal {
-		t.Errorf("suite done = %d, want ≥ %d", s.Done, wantTotal)
-	}
-}
-
 // The disabled-progress hot loop must allocate exactly as much as the
 // enabled one — i.e. the progress machinery is allocation-free, so
 // leaving Progress nil cannot cost anything either. Run-to-run the

@@ -446,9 +446,9 @@ func runGroup(ctx context.Context, cfgs []Config, out []*Result) error {
 	}
 	for i := range cfgs {
 		if p := cfgs[i].Progress; p != nil {
-			// EnsureTotal, not Start: in a suite fan-out the
-			// coordinator has already published the whole suite's
-			// total.
+			// EnsureTotal, not Start: a suite's runs share one
+			// Progress, and mapsim.RunSuite has already published
+			// the whole suite's total.
 			p.EnsureTotal(cfgs[i].Warmup + cfgs[i].Instructions)
 			if progs != nil {
 				progs[i] = p

@@ -202,16 +202,6 @@ func TestCanonicalNormalizesSpec(t *testing.T) {
 	}
 }
 
-func TestSuiteRejectsSpecAndTrace(t *testing.T) {
-	sp := parseSpecT(t)
-	if _, err := RunSuite(Config{WorkloadSpec: sp}, []string{"canneal"}, 1); err == nil {
-		t.Error("RunSuite accepted a base config with WorkloadSpec")
-	}
-	if _, err := RunSuite(Config{TracePath: "x.mtrc"}, []string{"canneal"}, 1); err == nil {
-		t.Error("RunSuite accepted a base config with TracePath")
-	}
-}
-
 // TestTraceAddressOutOfRange: a trace record at or above 2^62 would
 // collide with the event encoding's flag bits, so the run must fail
 // with errAddrRange, inline and pipelined, rather than simulate a

@@ -1,15 +1,10 @@
 package sim
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
-	"github.com/maps-sim/mapsim/internal/obs"
 	"github.com/maps-sim/mapsim/internal/stats"
-	"github.com/maps-sim/mapsim/internal/workload"
 )
 
 // SuiteResult aggregates one configuration across a benchmark suite.
@@ -28,112 +23,23 @@ type SuiteResult struct {
 	// accesses (reads + writes).
 	GeomeanMemAccesses float64 `json:"geomean_mem_accesses"`
 
-	// Wall is the fan-out's host wall-clock time (not simulated
+	// Wall is the suite's host wall-clock time (not simulated
 	// cycles); it serializes as nanoseconds.
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// RunSuite runs the same configuration (everything except Benchmark /
-// Workload) across the given benchmarks in parallel. An empty
-// benchmark list selects the full registry.
-func RunSuite(base Config, benchmarks []string, parallelism int) (*SuiteResult, error) {
-	return RunSuiteContext(context.Background(), base, benchmarks, parallelism)
-}
-
-// RunSuiteContext is RunSuite under a context: cancelling ctx stops
-// every in-flight run. The fan-out also cancels itself as soon as any
-// benchmark fails — queued runs never start and in-flight ones stop
-// at their next cancellation check — so a bad config does not burn a
-// suite's worth of simulation before reporting.
-func RunSuiteContext(ctx context.Context, base Config, benchmarks []string, parallelism int) (*SuiteResult, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = workload.Names()
+// NewSuiteResult reduces one configuration's per-benchmark results to
+// a SuiteResult: results[i] is benchmark order[i]'s, and the geomeans
+// are taken over them. A suite runs as a sweep over the benchmark axis
+// (mapsim.RunSuite), so its callers reduce the sweep's points through
+// sweep.Result.Suite.
+func NewSuiteResult(order []string, results []*Result, wall time.Duration) *SuiteResult {
+	s := &SuiteResult{PerBench: make(map[string]*Result, len(order)), Order: order, Wall: wall}
+	for i, b := range order {
+		s.PerBench[b] = results[i]
 	}
-	if base.WorkloadSpec != nil || base.TracePath != "" {
-		// A suite varies Benchmark across the registry; a base that pins
-		// the workload another way would silently override every entry.
-		return nil, fmt.Errorf("sim: suite base must not set WorkloadSpec or TracePath")
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	// Record the fan-out width so each run pipelines only into the
-	// CPU budget left over after the suite's own concurrency (see
-	// pipelines).
-	ctx = WithConcurrency(ctx, parallelism)
-	endSuite := obs.Span(ctx, "suite", "benchmarks", len(benchmarks), "parallelism", parallelism)
-	if base.Progress != nil {
-		// Publish the whole suite's instruction total before any run
-		// starts, so observers see a stable denominator. Each run's
-		// own EnsureTotal then keeps its hands off it.
-		per := base
-		per.Benchmark = "-" // a suite base legitimately omits Benchmark
-		per.fillDefaults()
-		base.Progress.Start(uint64(len(benchmarks)) * (per.Warmup + per.Instructions))
-	}
-	res := &SuiteResult{
-		PerBench: make(map[string]*Result, len(benchmarks)),
-		Order:    append([]string{}, benchmarks...),
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel() // abandon the rest of the fan-out
-	}
-	for _, b := range benchmarks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // a sibling already failed; don't start
-			}
-			cfg := base
-			cfg.Benchmark = b
-			cfg.Workload = nil // force a private generator per run
-			if cfg.Meta != nil {
-				metaCopy := *cfg.Meta
-				// Policies and partition schemes are stateful; a
-				// shared instance across concurrent runs would race.
-				if metaCopy.Policy != nil || metaCopy.Partition != nil {
-					fail(fmt.Errorf("sim: RunSuite requires nil Meta.Policy and Meta.Partition (stateful instances cannot be shared across runs)"))
-					return
-				}
-				cfg.Meta = &metaCopy
-			}
-			r, err := RunContext(ctx, cfg)
-			if err != nil {
-				// fail keeps only the first error, so runs cancelled
-				// as victims of an earlier failure never mask it.
-				fail(fmt.Errorf("sim: %s: %w", b, err))
-				return
-			}
-			mu.Lock()
-			res.PerBench[b] = r
-			mu.Unlock()
-		}(b)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	res.computeGeomeans(benchmarks)
-	res.Wall = endSuite()
-	return res, nil
+	s.computeGeomeans(order)
+	return s
 }
 
 // computeGeomeans fills the suite-level geometric means from the

@@ -57,7 +57,12 @@ const Version = 1
 const (
 	// KindRun frames a *sim.Result.
 	KindRun = "run"
-	// KindSuite frames a *sim.SuiteResult.
+	// KindSuite is retired: it framed a suite's aggregate, which
+	// earlier builds stored under a suite key of their own. A suite
+	// now runs as a sweep whose runs are stored one by one, and
+	// nothing computes a suite key, so such a record is never looked
+	// up. Its frame still decodes, so a segment that holds one opens
+	// as before; Value refuses it.
 	KindSuite = "suite"
 )
 
@@ -81,7 +86,8 @@ type Envelope struct {
 	// they asked for, so a renamed file or a confused peer can never
 	// serve the wrong result.
 	Key string `json:"key"`
-	// Kind selects the payload's Go type: KindRun or KindSuite.
+	// Kind selects the payload's Go type: KindRun, or the retired
+	// KindSuite.
 	Kind string `json:"kind"`
 	// Created records when the envelope was encoded (informational).
 	Created time.Time `json:"created"`
@@ -108,9 +114,9 @@ func ValidKey(k results.Key) bool {
 	return true
 }
 
-// Encode frames value — a *sim.Result or *sim.SuiteResult — into an
-// envelope's JSON bytes under key. Any other type is an error: the
-// store only persists what it knows how to decode again.
+// Encode frames value — a *sim.Result — into an envelope's JSON bytes
+// under key. Any other type is an error: the store only persists what
+// it knows how to decode again.
 func Encode(key results.Key, value any) ([]byte, error) {
 	return encodePayload(key, value, nil)
 }
@@ -121,14 +127,8 @@ func encodePayload(key results.Key, value any, payload []byte) ([]byte, error) {
 	if !ValidKey(key) {
 		return nil, fmt.Errorf("store: invalid key %q", key)
 	}
-	var kind string
-	switch value.(type) {
-	case *sim.Result:
-		kind = KindRun
-	case *sim.SuiteResult:
-		kind = KindSuite
-	default:
-		return nil, fmt.Errorf("store: cannot encode %T (want *sim.Result or *sim.SuiteResult)", value)
+	if _, ok := value.(*sim.Result); !ok {
+		return nil, fmt.Errorf("store: cannot encode %T (want *sim.Result)", value)
 	}
 	if payload == nil {
 		var err error
@@ -150,7 +150,7 @@ func encodePayload(key results.Key, value any, payload []byte) ([]byte, error) {
 	buf = append(buf, `,"key":"`...)
 	buf = append(buf, key...)
 	buf = append(buf, `","kind":"`...)
-	buf = append(buf, kind...)
+	buf = append(buf, KindRun...)
 	buf = append(buf, `","created":`...)
 	buf = append(buf, created...)
 	buf = append(buf, `,"checksum":"`...)
@@ -203,8 +203,8 @@ func Decode(data []byte) (*Envelope, error) {
 // encodedPrefix opens every envelope Encode writes.
 var encodedPrefix = []byte(`{"version":` + strconv.Itoa(Version) + `,"key":"`)
 
-// Value decodes the payload into its Go type: *sim.Result for
-// KindRun, *sim.SuiteResult for KindSuite.
+// Value decodes the payload into its Go type, *sim.Result for
+// KindRun. The retired KindSuite is refused by name.
 func (e *Envelope) Value() (any, error) {
 	switch e.Kind {
 	case KindRun:
@@ -214,11 +214,7 @@ func (e *Envelope) Value() (any, error) {
 		}
 		return v, nil
 	case KindSuite:
-		v := new(sim.SuiteResult)
-		if err := json.Unmarshal(e.Payload, v); err != nil {
-			return nil, corrupt("suite payload: %v", err)
-		}
-		return v, nil
+		return nil, fmt.Errorf("store: %q envelopes are retired: a suite is stored as its runs", e.Kind)
 	default:
 		return nil, corrupt("unknown kind %q", e.Kind)
 	}

@@ -108,31 +108,11 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mutated the result:\ngot  %+v\nwant %+v", got, want)
 	}
 
-	// Suites frame too.
-	suite := &sim.SuiteResult{
-		PerBench:   map[string]*sim.Result{"fft": want},
-		Order:      []string{"fft"},
-		GeomeanIPC: 1.0 / 3.0,
+	// A suite aggregate no longer frames: suites are stored as their
+	// runs (TestRetiredSuiteRecordOpens reads an old suite frame).
+	if _, err := Encode(k, &sim.SuiteResult{Order: []string{"fft"}}); err == nil {
+		t.Fatal("Encode accepted a suite result")
 	}
-	data, err = Encode(k, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err = Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Kind != KindSuite {
-		t.Fatalf("kind %q, want suite", env.Kind)
-	}
-	v, err = env.Value()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v.(*sim.SuiteResult); !reflect.DeepEqual(got, suite) {
-		t.Fatalf("suite round trip mutated the result")
-	}
-
 	// Unknown types refuse to encode.
 	if _, err := Encode(k, "not a result"); err == nil {
 		t.Fatal("Encode accepted a string")
@@ -209,6 +189,71 @@ func TestGetPutAcrossReopen(t *testing.T) {
 	}
 	if st := s2.Stats(); st.MemHits != 1 {
 		t.Fatalf("second Get did not hit memory: %+v", st)
+	}
+}
+
+// TestRetiredSuiteRecordOpens: a segment from a build that still
+// stored suite aggregates holds a KindSuite record, framed as that
+// build's Encode wrote it, between run records. It opens cleanly: the
+// run records are served, nothing is quarantined or warned about, and
+// the suite frame still decodes while Value refuses it by name.
+func TestRetiredSuiteRecordOpens(t *testing.T) {
+	payload, err := json.Marshal(&sim.SuiteResult{
+		PerBench:   map[string]*sim.Result{"fft": runResult("fft", 1)},
+		Order:      []string{"fft"},
+		GeomeanIPC: 1.0 / 3.0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := key("suite")
+	sum := sha256.Sum256(payload)
+	suiteEnv := []byte(`{"version":1,"key":"` + string(sk) + `","kind":"suite",` +
+		`"created":"2026-01-02T03:04:05.123456789Z","checksum":"` + hex.EncodeToString(sum[:]) +
+		`","payload":` + string(payload) + `}`)
+	runs := map[results.Key]*sim.Result{key("run-a"): runResult("fft", 1), key("run-b"): runResult("canneal", 2)}
+	var seg []byte
+	for _, k := range []results.Key{key("run-a"), sk, key("run-b")} {
+		env := suiteEnv
+		if k != sk {
+			if env, err = Encode(k, runs[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seg = frame.Append(seg, []byte(k), env)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentsDir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	s := mustOpen(t, Options{Dir: dir, Memory: results.New(8), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if st := s.Stats(); st.DiskEntries != 3 || st.DiskBytes != int64(len(seg)) {
+		t.Fatalf("opened %d entries / %d bytes, want 3 / %d", st.DiskEntries, st.DiskBytes, len(seg))
+	}
+	for k, want := range runs {
+		v, ok := s.Get(context.Background(), k)
+		if !ok || !reflect.DeepEqual(v, want) {
+			t.Fatalf("run record %s: served %v (%+v), want %+v", k, ok, v, want)
+		}
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.DiskHits != 2 {
+		t.Fatalf("after serving the runs: %+v", st)
+	}
+	if strings.Contains(logs.String(), "level=WARN") {
+		t.Fatalf("opening warned:\n%s", logs.String())
+	}
+
+	env, err := Decode(suiteEnv)
+	if err != nil || env.Kind != KindSuite {
+		t.Fatalf("suite frame: %v, %+v", err, env)
+	}
+	if _, err := env.Value(); err == nil || !strings.Contains(err.Error(), `"suite"`) {
+		t.Fatalf("Value of a suite frame: %v, want an error naming the kind", err)
 	}
 }
 

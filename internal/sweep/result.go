@@ -96,6 +96,20 @@ func distinct(labels []string) []string {
 // axisLabels returns the distinct labels of an axis in grid order.
 func (r *Result) axisLabels(axis string) []string { return distinct(r.pointLabels(axis)) }
 
+// Suite reduces a sweep over the benchmark axis alone to the suite
+// report, sim.SuiteResult: each point's benchmark in grid order, its
+// result, and the suite geomeans. A suite is such a sweep, local
+// (mapsim.RunSuite) or on a daemon (`maps run -suite -remote`), and
+// both report through this one reduction.
+func (r *Result) Suite() *sim.SuiteResult {
+	order := make([]string, len(r.Points))
+	results := make([]*sim.Result, len(r.Points))
+	for i, p := range r.Points {
+		order[i], results[i] = p.Benchmark, p.Result
+	}
+	return sim.NewSuiteResult(order, results, r.Wall)
+}
+
 // Aggregate fills Geomeans for every axis that actually varies. The
 // fleet coordinator calls it once, after the last point lands; the
 // computation is deterministic in the grid order, so two sweeps of

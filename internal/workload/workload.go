@@ -488,7 +488,7 @@ var registry = map[string]func() Generator{
 	"fft": func() Generator {
 		return &strided{base: base{name: "fft", footprint: 32 << 20, meanGap: 3, writeFrac: 0.20}, minStride: 4 << 10, maxStride: 1 << 20}
 	},
-	// SPEC leslie3d: 3-D stencil, 5% writes.
+	// SPEC leslie3d: 3-D stencil, 15% writes.
 	"leslie3d": func() Generator {
 		return &stencil{base: base{name: "leslie3d", footprint: 64 << 20, meanGap: 3, writeFrac: 0.15}, nx: 256, ny: 256, nz: 128}
 	},

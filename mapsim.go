@@ -34,12 +34,14 @@ import (
 	"github.com/maps-sim/mapsim/internal/cache/policy"
 	"github.com/maps-sim/mapsim/internal/cache/typepred"
 	"github.com/maps-sim/mapsim/internal/experiments"
+	"github.com/maps-sim/mapsim/internal/fleet"
 	"github.com/maps-sim/mapsim/internal/memlayout"
 	"github.com/maps-sim/mapsim/internal/metacache"
 	"github.com/maps-sim/mapsim/internal/partition"
 	"github.com/maps-sim/mapsim/internal/reuse"
 	"github.com/maps-sim/mapsim/internal/secmem/engine"
 	"github.com/maps-sim/mapsim/internal/sim"
+	"github.com/maps-sim/mapsim/internal/sweep"
 	"github.com/maps-sim/mapsim/internal/trace"
 	"github.com/maps-sim/mapsim/internal/workload"
 	"github.com/maps-sim/mapsim/internal/workload/spec"
@@ -106,14 +108,47 @@ type SuiteResult = sim.SuiteResult
 // parallel (empty list = all benchmarks) and reports per-benchmark
 // results plus geometric means.
 func RunSuite(base Config, benchmarks []string, parallelism int) (*SuiteResult, error) {
-	return sim.RunSuite(base, benchmarks, parallelism)
+	return RunSuiteContext(context.Background(), base, benchmarks, parallelism)
 }
 
-// RunSuiteContext is RunSuite under a context. The fan-out cancels
-// itself as soon as any benchmark fails, so the remaining queued runs
-// are never simulated just to be discarded.
+// RunSuiteContext is RunSuite under a context. A suite is a sweep over
+// the benchmark axis alone: base, less its Benchmark and Workload,
+// expands into one point per benchmark, the points run through the one
+// local sweep executor (fleet.RunLocal), and the sweep's result reduces
+// to the suite's (sweep.Result.Suite). So an unknown or repeated
+// benchmark, or a base the sweep cannot share (a WorkloadSpec,
+// TracePath, Tap, or policy instance), fails before anything
+// simulates, and a failing benchmark cancels the rest. A Progress on
+// base counts the whole suite.
 func RunSuiteContext(ctx context.Context, base Config, benchmarks []string, parallelism int) (*SuiteResult, error) {
-	return sim.RunSuiteContext(ctx, base, benchmarks, parallelism)
+	if len(benchmarks) == 0 {
+		benchmarks = workload.Names() // an empty axis would mean base.Benchmark
+	}
+	prog := base.Progress
+	base.Workload, base.Progress = nil, nil
+	points, err := sweep.Spec{Base: base, Axes: sweep.Axes{Benchmarks: benchmarks}}.Expand()
+	if err != nil {
+		return nil, err
+	}
+	if prog != nil {
+		// Publish the whole suite's total before any run starts; each
+		// run's own EnsureTotal then leaves it alone. Expand refuses a
+		// Progress in the base, and RunLocal keys nothing, so the
+		// points take it after expansion.
+		c, err := points[0].Config.Canonical()
+		if err != nil {
+			return nil, err
+		}
+		prog.Start(uint64(len(points)) * (c.Warmup + c.Instructions))
+		for i := range points {
+			points[i].Config.Progress = prog
+		}
+	}
+	res, err := fleet.RunLocal(ctx, points, parallelism, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Suite(), nil
 }
 
 // SeedsResult reports metric spread across workload seeds.
