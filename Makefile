@@ -88,6 +88,8 @@ race:
 # to encoding/json on any input: the same error-ness and the same value.
 # The reply writer's target holds mapsd's spliced sweep replies to
 # json.Encoder's bytes on random sweep results.
+# scripts/fuzz_smoke.sh fails a target whose last progress line
+# reports 0 execs/sec: a worker stuck on one input ran nothing new.
 # Every target caps minimization at 1s: while a worker minimizes a
 # newly interesting input (for up to 60s by default) it runs no new
 # inputs, and on four of the targets and both result decoders that
@@ -98,18 +100,18 @@ race:
 # (internal/cliutil) fails when this list and the repo's fuzz targets
 # differ: `go test -fuzz=` on a package without the target only warns.
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
-	$(GO) test -run '^$$' -fuzz=FuzzClassifyRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/memlayout
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeWorkloadSpec -fuzztime=10s -fuzzminimizetime=1s ./internal/workload/spec
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s -fuzzminimizetime=1s ./internal/store
-	$(GO) test -run '^$$' -fuzz=FuzzOpenSegment -fuzztime=10s -fuzzminimizetime=1s ./internal/store
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeJournalRecord -fuzztime=10s -fuzzminimizetime=1s ./internal/journal
-	$(GO) test -run '^$$' -fuzz=FuzzLevelMatchesLRU -fuzztime=10s -fuzzminimizetime=1s ./internal/hierarchy
-	$(GO) test -run '^$$' -fuzz=FuzzMetaSetsMatchCache -fuzztime=10s -fuzzminimizetime=1s ./internal/metacache
-	$(GO) test -run '^$$' -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s -fuzzminimizetime=1s ./internal/secmem/engine
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sim
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeSweepResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sweep
-	$(GO) test -run '^$$' -fuzz=FuzzSweepReplyMatchesEncoder -fuzztime=10s -fuzzminimizetime=1s ./internal/server
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzDecodeTrace -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzClassifyRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/memlayout
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzDecodeWorkloadSpec -fuzztime=10s -fuzzminimizetime=1s ./internal/workload/spec
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzDecodeEnvelope -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzOpenSegment -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzDecodeJournalRecord -fuzztime=10s -fuzzminimizetime=1s ./internal/journal
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzLevelMatchesLRU -fuzztime=10s -fuzzminimizetime=1s ./internal/hierarchy
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzMetaSetsMatchCache -fuzztime=10s -fuzzminimizetime=1s ./internal/metacache
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzCounterTableMatchesMap -fuzztime=10s -fuzzminimizetime=1s ./internal/secmem/engine
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzDecodeResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sim
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzDecodeSweepResult -fuzztime=10s -fuzzminimizetime=1s ./internal/sweep
+	GO=$(GO) ./scripts/fuzz_smoke.sh -fuzz=FuzzSweepReplyMatchesEncoder -fuzztime=10s -fuzzminimizetime=1s ./internal/server
 
 # Full benchmark pass: measure the access kernel and end-to-end runs,
 # then record the numbers into BENCH_kernel.json's current section.

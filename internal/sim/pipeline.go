@@ -9,8 +9,8 @@
 // and the front carries only the cycles it accrued since the previous
 // event. So the two stages can run one after the other on one
 // goroutine, batch by batch (inline), or concurrently on two joined
-// by a small ring of reused batches (pipelined), and both placements
-// compute exactly the same cycles and statistics.
+// by a small polled ring of reused batches (pipelined), and both
+// placements compute exactly the same cycles and statistics.
 //
 // The warmup/measure boundary travels through the stream as a marker
 // event: the front resets the hierarchy's statistics when it finishes
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"github.com/maps-sim/mapsim/internal/dram"
@@ -371,14 +372,27 @@ func (s *backs) emitInline(evs []event) []event {
 	return evs[:batchLen]
 }
 
-// pipe runs the back stage on a goroutine of its own. Batches cycle
-// through two channels: full carries filled batches to the back, free
-// returns consumed ones, and both are buffered for the whole ring, so
-// only the front's wait for a free batch can block.
+// pipe runs the back stage on a goroutine of its own, fed through a
+// single-producer, single-consumer ring of ringLen reused batches.
+// The front publishes a batch by advancing published (the slot's
+// length in lens first), the back frees one by advancing consumed,
+// and a stage that must wait polls the other's counter rather than
+// parking at once: waking a parked goroutine on an idle CPU takes
+// longer than the back's work on a batch, so hand-offs that always
+// parked kept the two stages from overlapping. While it polls, the
+// waiting stage keeps busy the second CPU pipelines reserves.
 type pipe struct {
-	full, free chan []event
-	done       chan struct{}
-	closed     bool
+	ring []event      // ringLen slots of batchLen events
+	lens [ringLen]int // each slot's batch length, written before publishing
+
+	published atomic.Uint64 // batches the front has handed over
+	consumed  atomic.Uint64 // batches the back has finished
+	closed    atomic.Bool   // no batch follows the last published one
+	stopped   atomic.Bool   // the back goroutine has returned
+
+	// front and back park their stages when a wait outlasts polling.
+	front, back waiter
+	done        chan struct{}
 
 	// panicked holds a panic recovered on the back goroutine; join's
 	// caller re-raises it on its own goroutine. Written before done
@@ -386,17 +400,95 @@ type pipe struct {
 	panicked any
 }
 
+const (
+	// pollYield is how many polls a waiting stage makes between
+	// runtime.Gosched calls. The polls never block, so without the
+	// yield a stage waiting on one P (GOMAXPROCS 1) would starve the
+	// stage it waits for until preempted, along with timers and the
+	// GC; every ~1K polls (about a microsecond) it lets them run.
+	pollYield = 1024
+
+	// parkAfter bounds a wait's polling. Gosched yields the P but not
+	// the OS thread: when the stage waited for is off its CPU because
+	// the OS gave that CPU to another thread, polling on would hold
+	// the CPU it needs for a whole OS time slice, and a run stalls for
+	// milliseconds. A wait this long parks instead. It exceeds a
+	// batch's back work on every benchmark (canneal's, the longest,
+	// is about 60 µs), so a front waiting on a busy back does not
+	// park.
+	parkAfter = 100 * time.Microsecond
+)
+
+// waiter parks a stage whose wait outlasted its polling budget until
+// the other stage signals it.
+type waiter struct {
+	parked atomic.Bool
+	wake   chan struct{} // one token per signal that found parked set
+
+	// spin is how long the next wait polls before parking, owned by
+	// the waiting stage: parkAfter after a wait that polling would
+	// have covered, halved after each longer one. So a stage whose
+	// waits keep running long, like the back of a front-bound run
+	// (perlbench's waits about 200 µs a batch) or either stage on a
+	// host whose other CPU is busy, soon parks at once, as a channel
+	// receive would, instead of burning CPU on every wait.
+	spin time.Duration
+}
+
+// await returns once ready does: it polls, yields the P every
+// pollYield polls, and parks once w.spin has passed.
+func (w *waiter) await(ready func() bool) {
+	var start time.Time
+	for polls := 1; !ready(); polls++ {
+		if polls%pollYield != 0 {
+			continue
+		}
+		if start.IsZero() {
+			start = time.Now()
+		}
+		if time.Since(start) < w.spin {
+			runtime.Gosched()
+			continue
+		}
+		// Set parked before the last look at ready: a signal after
+		// the other stage's progress either finds parked set and
+		// sends a token, or came before that look, which then sees
+		// the progress.
+		w.parked.Store(true)
+		if ready() && w.parked.CompareAndSwap(true, false) {
+			break
+		}
+		<-w.wake
+	}
+	if start.IsZero() || time.Since(start) <= parkAfter {
+		w.spin = parkAfter
+	} else {
+		w.spin /= 2
+	}
+}
+
+// signal wakes the stage if it is parked; call it after making
+// progress the stage may wait on.
+func (w *waiter) signal() {
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+	}
+}
+
+// slot returns batch i's slot of the ring, full length.
+func (p *pipe) slot(i uint64) []event {
+	j := int(i%ringLen) * batchLen
+	return p.ring[j : j+batchLen : j+batchLen]
+}
+
 // startPipe starts b on a new goroutine and returns the pipe feeding
 // it, along with the front's first empty batch.
 func startPipe(b *backs) (*pipe, []event) {
 	p := &pipe{
-		full: make(chan []event, ringLen),
-		free: make(chan []event, ringLen),
-		done: make(chan struct{}),
-	}
-	ring := make([]event, ringLen*batchLen)
-	for i := 1; i < ringLen; i++ {
-		p.free <- ring[i*batchLen : (i+1)*batchLen : (i+1)*batchLen]
+		ring:  make([]event, ringLen*batchLen),
+		front: waiter{wake: make(chan struct{}, 1), spin: parkAfter},
+		back:  waiter{wake: make(chan struct{}, 1), spin: parkAfter},
+		done:  make(chan struct{}),
 	}
 	go func() {
 		defer close(p.done)
@@ -409,34 +501,49 @@ func startPipe(b *backs) (*pipe, []event) {
 				obs.From(b.ctx).Error("sim back stage panicked",
 					"benchmark", b.bench, "panic", r, "stack", string(debug.Stack()))
 			}
+			p.stopped.Store(true)
+			p.front.signal()
 		}()
-		for evs := range p.full {
-			b.consume(evs)
-			p.free <- evs
+		for i := uint64(0); ; {
+			if i < p.published.Load() {
+				b.consume(p.slot(i)[:p.lens[i%ringLen]])
+				i++
+				p.consumed.Store(i)
+				p.front.signal()
+				continue
+			}
+			// closed is set after the last publish, so once it reads
+			// true a second load of published is final.
+			if p.closed.Load() && i == p.published.Load() {
+				return
+			}
+			p.back.await(func() bool { return i < p.published.Load() || p.closed.Load() })
 		}
 	}()
-	return p, ring[:batchLen:batchLen]
+	return p, p.slot(0)
 }
 
-// emit hands evs to the back stage and waits for an empty batch; it
-// returns nil if the back stage dies first.
+// emit hands evs (a prefix of the slot the front was given) to the
+// back stage and waits for the next slot to be free; it returns nil
+// if the back stage dies first.
 func (p *pipe) emit(evs []event) []event {
-	p.full <- evs
-	select {
-	case next := <-p.free:
-		return next[:batchLen]
-	case <-p.done:
+	n := p.published.Load()
+	p.lens[n%ringLen] = len(evs)
+	n++
+	p.published.Store(n)
+	p.back.signal()
+	p.front.await(func() bool { return n-p.consumed.Load() < ringLen || p.stopped.Load() })
+	if p.stopped.Load() {
 		return nil
 	}
+	return p.slot(n)
 }
 
 // join closes the ring and waits until the back stage has consumed
 // everything sent to it (or died). It is idempotent, so a deferred
 // join also unwinds the back stage when the front panics.
 func (p *pipe) join() {
-	if !p.closed {
-		p.closed = true
-		close(p.full)
-	}
+	p.closed.Store(true)
+	p.back.signal()
 	<-p.done
 }

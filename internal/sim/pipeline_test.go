@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,6 +339,90 @@ func TestPipelinedPanicIsolated(t *testing.T) {
 	}
 	pool.Shutdown(context.Background())
 	awaitGoroutines(t, before)
+}
+
+// TestPipelineBackPanicWhileRingFull: a back-stage panic must also
+// unwind a front that is waiting for a free batch. The Tap's first
+// call sleeps long enough for the front to fill the ring and wait
+// (long enough, too, for that wait to park); its next call panics.
+func TestPipelineBackPanicWhileRingFull(t *testing.T) {
+	forcePipelined(t)
+	before := runtime.NumGoroutine()
+	pool := jobs.New(1, 1)
+	defer pool.Shutdown(context.Background())
+	calls := 0
+	_, err := pool.RunBatch(context.Background(), 1, func(ctx context.Context) (any, error) {
+		return RunContext(ctx, Config{
+			Benchmark: "canneal", Instructions: testInstr, Secure: true,
+			Meta: &metacache.Config{Size: 32 << 10, Ways: 8},
+			Tap: func(trace.Access) {
+				if calls++; calls == 1 {
+					time.Sleep(100 * time.Millisecond)
+				} else {
+					panic("tap exploded with the ring full")
+				}
+			},
+		})
+	}, 0)
+	if err == nil || !strings.Contains(err.Error(), jobs.ErrPanic.Error()) || !strings.Contains(err.Error(), "ring full") {
+		t.Fatalf("got %v, want a job failed with jobs.ErrPanic", err)
+	}
+	if n := pool.Stats().Panics; n != 1 {
+		t.Fatalf("pool recovered %d panics, want 1", n)
+	}
+	pool.Shutdown(context.Background())
+	awaitGoroutines(t, before)
+}
+
+// TestPipelineWaitYieldsP: with one P, a pipelined run whose back
+// stage waits on its front (perlbench is front-bound) must still
+// finish, a 1 ms ticker must fire during it, and it must take about
+// as long as the run inline. A waiting stage polls without blocking,
+// so this pins that it gives up the only P to the stage it waits for
+// and to timers; one that only async preemption (every 10 ms) takes
+// off the P finishes, but many times slower.
+func TestPipelineWaitYieldsP(t *testing.T) {
+	forcePipelined(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ticks atomic.Int64
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tk := time.NewTicker(time.Millisecond)
+		defer tk.Stop()
+		for {
+			select {
+			case <-tk.C:
+				ticks.Add(1)
+			case <-stop:
+				return
+			}
+		}
+	}()
+	cfg := Config{
+		Benchmark: "perlbench", Instructions: 1_000_000, Secure: true,
+		Meta: &metacache.Config{Size: 64 << 10, Ways: 8},
+	}
+	if !pipelines(context.Background(), &cfg) {
+		t.Fatal("secure run would not pipeline")
+	}
+	begin := time.Now()
+	if _, err := RunContext(inlineCtx(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	inline := time.Since(begin)
+	start := ticks.Load()
+	begin = time.Now()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	piped := time.Since(begin)
+	if n := ticks.Load() - start; n < 1 {
+		t.Errorf("1 ms ticker fired %d times during a %v run", n, piped)
+	}
+	if piped > 5*inline+50*time.Millisecond {
+		t.Errorf("pipelined run took %v on one P, inline %v", piped, inline)
+	}
 }
 
 // TestEffectiveShards pins the placement rule: secure runs pipeline

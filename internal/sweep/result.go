@@ -64,8 +64,11 @@ type Result struct {
 	Total   int `json:"total"`
 	Done    int `json:"done"`
 	Deduped int `json:"deduped"`
-	// Geomeans aggregates every swept axis (axes with a single label
-	// are skipped — their geomean is the whole sweep's).
+	// Geomeans aggregates every swept axis. Axes with a single label
+	// are skipped, as their geomean is the whole sweep's, and so are
+	// axes on which every label covers one point (a sweep over the
+	// benchmark axis alone, as every suite is), as each geomean would
+	// repeat that point's own metrics.
 	Geomeans []AxisGeomean `json:"geomeans,omitempty"`
 	// Wall is the sweep's host wall-clock time.
 	Wall time.Duration `json:"wall_ns"`
@@ -110,16 +113,17 @@ func (r *Result) Suite() *sim.SuiteResult {
 	return sim.NewSuiteResult(order, results, r.Wall)
 }
 
-// Aggregate fills Geomeans for every axis that actually varies. The
-// fleet coordinator calls it once, after the last point lands; the
-// computation is deterministic in the grid order, so two sweeps of
-// the same spec aggregate byte-identically no matter which worker ran
-// which point. Each point's label on each axis is rendered once.
+// Aggregate fills Geomeans for every axis that actually varies and
+// groups more than one point under some label. The fleet coordinator
+// calls it once, after the last point lands; the computation is
+// deterministic in the grid order, so two sweeps of the same spec
+// aggregate byte-identically no matter which worker ran which point.
+// Each point's label on each axis is rendered once.
 func (r *Result) Aggregate() {
 	for _, axis := range AxisNames() {
 		labels := r.pointLabels(axis)
 		groups := distinct(labels)
-		if len(groups) < 2 {
+		if len(groups) < 2 || len(groups) == len(labels) {
 			continue
 		}
 		for _, label := range groups {

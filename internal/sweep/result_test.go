@@ -8,7 +8,8 @@ import (
 )
 
 // aggregateByScan is Aggregate as it was first written, rendering a
-// point's label once per distinct label of each axis: the reference
+// point's label once per distinct label of each axis (with the same
+// rule for which axes to skip): the reference
 // TestAggregateMatchesScan holds the one-label-per-point version to.
 func aggregateByScan(r *Result) []AxisGeomean {
 	var out []AxisGeomean
@@ -21,7 +22,7 @@ func aggregateByScan(r *Result) []AxisGeomean {
 				labels = append(labels, l)
 			}
 		}
-		if len(labels) < 2 {
+		if len(labels) < 2 || len(labels) == len(r.Points) {
 			continue
 		}
 		for _, label := range labels {
@@ -86,5 +87,48 @@ func TestAggregateMatchesScan(t *testing.T) {
 	want, _ := json.Marshal(aggregateByScan(res))
 	if string(got) != string(want) {
 		t.Fatalf("Aggregate geomeans differ from the per-label scan:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestAggregateSkipsOnePointLabels: a sweep over the benchmark axis
+// alone — a suite — has one point per label, so it gets no geomeans;
+// adding a second axis gives both axes theirs, each label over two
+// points.
+func TestAggregateSkipsOnePointLabels(t *testing.T) {
+	aggregate := func(axes Axes) *Result {
+		t.Helper()
+		points, err := Spec{Base: sim.Config{Instructions: testInstructions}, Axes: axes}.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &Result{}
+		for i, p := range points {
+			f := float64(i + 1)
+			res.Points = append(res.Points, PointResult{Point: p,
+				Result: &sim.Result{LLCMPKI: f, MetaMPKI: f / 2, IPC: 1 / f, ED2: f * 1e12}})
+		}
+		res.Aggregate()
+		got, _ := json.Marshal(res.Geomeans)
+		want, _ := json.Marshal(aggregateByScan(res))
+		if string(got) != string(want) {
+			t.Fatalf("Aggregate geomeans differ from the per-label scan:\n got %s\nwant %s", got, want)
+		}
+		return res
+	}
+	suite := aggregate(Axes{Benchmarks: []string{"canneal", "mcf", "lbm"}})
+	if len(suite.Geomeans) != 0 {
+		t.Errorf("benchmark-only sweep got geomeans %+v, want none", suite.Geomeans)
+	}
+	grid := aggregate(Axes{
+		Benchmarks: []string{"canneal", "mcf"},
+		Meta:       IntAxis{Points: []int{16 << 10, 64 << 10}},
+	})
+	if len(grid.Geomeans) != 4 {
+		t.Fatalf("2×2 sweep got %d geomeans, want 4: %+v", len(grid.Geomeans), grid.Geomeans)
+	}
+	for _, g := range grid.Geomeans {
+		if g.Points != 2 {
+			t.Errorf("%s=%s covers %d points, want 2", g.Axis, g.Label, g.Points)
+		}
 	}
 }
